@@ -49,7 +49,7 @@ def main() -> int:
         print(f"{name}: {rep.status} after {rep.iterations} iteration(s), "
               f"objective {rep.objective:.0f}, {rep.wall_time_s:.1f} s")
         if rep.status != "converged":
-            return 3 if rep.status == "infeasible" else 2
+            return {"infeasible": 3, "limit": 4}.get(rep.status, 2)
         violations = audit_report(s, rep)
         print(f"{name}: audit {'clean' if not violations else violations}")
         save_report(rep, str(out / f"{name}.json"))

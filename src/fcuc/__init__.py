@@ -46,7 +46,6 @@ from .ucmodel import (
     decode_solution,
     online_mix,
 )
-from .simplex import solve_lp
 from .solver import MilpResult, brute_force_milp, solve_milp
 from .mps import export_mps, parse_mps
 from .drivers import RunReport, compare_runs, run_industry, run_proposed

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success (and frequency-compliant where applicable),
-2 non-convergence, 3 infeasible, 1 usage or I/O error.
+2 non-convergence, 3 infeasible, 4 MILP solver limit hit before an
+optimum was proven, 1 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NON_CONVERGENCE = 2
 EXIT_INFEASIBLE = 3
+EXIT_SOLVER_LIMIT = 4
 
 
 def _full_fleet_mix(s, hour):
@@ -120,6 +122,8 @@ def _cmd_solve(args) -> int:
         write_dispatch_table(s, report, args.dispatch_out)
     if report.status == "infeasible":
         return EXIT_INFEASIBLE
+    if report.status == "limit":
+        return EXIT_SOLVER_LIMIT
     if report.status != "converged":
         return EXIT_NON_CONVERGENCE
     return EXIT_OK

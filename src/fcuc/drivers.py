@@ -51,13 +51,14 @@ _AXIS_CLASSES = (TechClass.STEAM, TechClass.COMBINED_CYCLE, TechClass.HYDRO_RESE
 
 DEFAULT_ESCALATION = 1.05
 DEFAULT_MAX_ITER = 10
+MILP_GAP_TOL = 1e-4
 
 
 @dataclass
 class RunReport:
     model: str  # "proposed" | "industry"
     scenario_name: str
-    status: str  # "converged" | "non_convergence" | "infeasible"
+    status: str  # "converged" | "non_convergence" | "infeasible" | "limit"
     iterations: int
     objective: float
     cost_breakdown: dict[str, float]
@@ -156,9 +157,7 @@ def _learn_cut(
 def run_proposed(
     s: SystemScenario,
     max_iter: int = DEFAULT_MAX_ITER,
-    gap_tol: float = 1e-4,
     bisect_tol_mw: float = 1.0,
-    backend: str = "highs",
 ) -> RunReport:
     """Iterative FCUC: solve, audit every hour dynamically, add a learned
     nadir cut for each failing hour, repeat until compliant.
@@ -175,12 +174,12 @@ def run_proposed(
     for iters in range(1, max_iter + 1):
         opts = BuildOptions(nadir_cuts=tuple(cuts))
         problem = build_fcuc(s, opts)
-        res = solve_milp(problem, gap_tol=gap_tol, backend=backend)
-        if res.status in ("infeasible", "limit") or res.x is None:
+        res = solve_milp(problem, gap_tol=MILP_GAP_TOL)
+        if res.status != "optimal":
             return RunReport(
                 model="proposed",
                 scenario_name=s.name,
-                status="infeasible",
+                status=res.status,
                 iterations=iters,
                 objective=float("nan"),
                 cost_breakdown={},
@@ -234,8 +233,6 @@ def run_industry(
     s: SystemScenario,
     escalation_factor: float = DEFAULT_ESCALATION,
     max_iter: int = DEFAULT_MAX_ITER,
-    gap_tol: float = 1e-4,
-    backend: str = "highs",
 ) -> RunReport:
     """Uniform-reserve model: start at the contingency size and multiply the
     requirement by escalation_factor until simulated nadir and QSS comply.
@@ -254,12 +251,12 @@ def run_industry(
         trajectory.append(reserve)
         opts = BuildOptions(uniform_reserve_mw=reserve)
         problem = build_fcuc(s, opts)
-        res = solve_milp(problem, gap_tol=gap_tol, backend=backend)
-        if res.status in ("infeasible", "limit") or res.x is None:
+        res = solve_milp(problem, gap_tol=MILP_GAP_TOL)
+        if res.status != "optimal":
             return RunReport(
                 model="industry",
                 scenario_name=s.name,
-                status="infeasible",
+                status=res.status,
                 iterations=iters,
                 objective=float("nan"),
                 cost_breakdown={},

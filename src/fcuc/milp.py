@@ -112,18 +112,6 @@ class MilpProblem:
     def binary_columns(self) -> list[int]:
         return [j for j, v in enumerate(self.variables) if v.binary]
 
-    def dense(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """Constraint matrix, rhs, senses as dense arrays (small problems)."""
-        a = np.zeros((self.nrows, self.ncols))
-        rhs = np.zeros(self.nrows)
-        senses = []
-        for i, row in enumerate(self.rows):
-            for j, c in row.coeffs.items():
-                a[i, j] = c
-            rhs[i] = row.rhs
-            senses.append(row.sense)
-        return a, rhs, senses
-
     def split_rows(self):
         """(A_ub, b_ub, A_eq, b_eq) with >= rows negated into <= form, as
         scipy-style sparse triplets materialized densely only on demand."""
@@ -153,11 +141,3 @@ class MilpProblem:
 
     def value(self, x: np.ndarray, name: str) -> float:
         return float(x[self._col[name]])
-
-    def copy(self) -> "MilpProblem":
-        p = MilpProblem(self.name)
-        p.variables = [Variable(v.name, v.lb, v.ub, v.binary, v.cost) for v in self.variables]
-        p.rows = [Row(r.name, dict(r.coeffs), r.sense, r.rhs) for r in self.rows]
-        p._col = dict(self._col)
-        p._row_names = set(self._row_names)
-        return p

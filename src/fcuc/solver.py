@@ -1,9 +1,9 @@
-"""Branch-and-bound MILP solver and brute-force oracle.
+"""MILP solving with HiGHS, plus a brute-force oracle for tests.
 
-LP relaxations can be solved either with the in-house simplex
-(backend="simplex") or scipy's HiGHS interface (backend="highs", default —
-much faster on day-long commitment problems, cross-validated against the
-in-house engine in the test suite).
+`solve_milp` hands the whole problem to HiGHS branch-and-cut through
+`scipy.optimize.milp`. `brute_force_milp` enumerates every binary assignment
+and solves each continuous LP with HiGHS (`scipy.optimize.linprog`); it
+cross-checks `solve_milp` on small instances.
 """
 
 from __future__ import annotations
@@ -15,16 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .milp import MilpProblem
-from .simplex import LpResult, solve_lp as _simplex_lp
 
-__all__ = ["MilpResult", "solve_milp", "brute_force_milp", "solve_relaxation"]
-
-_INT_TOL = 1e-6
+__all__ = ["MilpResult", "solve_milp", "brute_force_milp"]
 
 
 @dataclass
 class MilpResult:
-    status: str  # "optimal" | "feasible_gap" | "infeasible" | "limit"
+    status: str  # "optimal" | "infeasible" | "limit"
     objective: float = np.nan
     x: np.ndarray | None = None
     best_bound: float = np.nan
@@ -33,90 +30,35 @@ class MilpResult:
     wall_time_s: float = 0.0
 
 
-def solve_relaxation(
-    p: MilpProblem,
-    backend: str = "highs",
-    fixed: dict[int, float] | None = None,
-) -> LpResult:
-    """LP relaxation with optional temporarily-fixed columns (branching)."""
-    if fixed:
-        p = p.copy()
-        for j, v in fixed.items():
-            p.variables[j].lb = v
-            p.variables[j].ub = v
-    if backend == "simplex":
-        return _simplex_lp(p)
-    if backend == "highs":
-        return _highs_lp(p)
-    raise ValueError(f"unknown LP backend {backend!r}")
+def solve_milp(
+    p: MilpProblem, gap_tol: float = 1e-4, time_limit_s: float | None = None
+) -> MilpResult:
+    """Solve `p` with HiGHS branch-and-cut to relative gap `gap_tol`.
 
-
-class _ArrayLp:
-    """Cached array form of a MilpProblem for repeated relaxation solves."""
-
-    def __init__(self, p: MilpProblem):
-        self.c = p.objective()
-        self.a_ub, self.b_ub, self.a_eq, self.b_eq = p.split_rows()
-        self.lb, self.ub = p.bounds()
-
-    def solve(self, fixed: dict[int, float] | None = None) -> LpResult:
-        from scipy.optimize import linprog
-
-        lb, ub = self.lb, self.ub
-        if fixed:
-            lb = lb.copy()
-            ub = ub.copy()
-            for j, v in fixed.items():
-                lb[j] = ub[j] = v
-        res = linprog(
-            self.c,
-            A_ub=self.a_ub if self.a_ub.shape[0] else None,
-            b_ub=self.b_ub if len(self.b_ub) else None,
-            A_eq=self.a_eq if self.a_eq.shape[0] else None,
-            b_eq=self.b_eq if len(self.b_eq) else None,
-            bounds=np.column_stack([lb, ub]),
-            method="highs",
-        )
-        if res.status == 3:
-            return LpResult(status="unbounded")
-        if not res.success:
-            return LpResult(status="infeasible")
-        return LpResult(
-            status="optimal",
-            objective=float(res.fun),
-            x=np.asarray(res.x),
-            duals=None,
-            iterations=int(getattr(res, "nit", 0)),
-        )
-
-
-def _highs_lp(p: MilpProblem) -> LpResult:
-    return _ArrayLp(p).solve()
-
-
-def _highs_milp(p: MilpProblem, gap_tol: float, time_limit_s: float | None) -> MilpResult:
-    """Solve the whole MILP with scipy's HiGHS branch-and-cut."""
-    from scipy.optimize import LinearConstraint, milp
+    "limit" means HiGHS stopped on `time_limit_s` (or another solver limit)
+    before proving the gap; `x` then holds its incumbent, or None if it had
+    none.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     t0 = time.perf_counter()
-    arr = _ArrayLp(p)
+    a_ub, b_ub, a_eq, b_eq = p.split_rows()
+    lb, ub = p.bounds()
     constraints = []
-    if arr.a_ub.shape[0]:
-        constraints.append(LinearConstraint(arr.a_ub, -np.inf, arr.b_ub))
-    if arr.a_eq.shape[0]:
-        constraints.append(LinearConstraint(arr.a_eq, arr.b_eq, arr.b_eq))
+    if a_ub.shape[0]:
+        constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
+    if a_eq.shape[0]:
+        constraints.append(LinearConstraint(a_eq, b_eq, b_eq))
     integrality = np.zeros(p.ncols)
     integrality[p.binary_columns()] = 1
     options = {"mip_rel_gap": gap_tol}
     if time_limit_s is not None:
         options["time_limit"] = time_limit_s
-    from scipy.optimize import Bounds
-
     res = milp(
-        arr.c,
+        p.objective(),
         constraints=constraints,
         integrality=integrality,
-        bounds=Bounds(arr.lb, arr.ub),
+        bounds=Bounds(lb, ub),
         options=options,
     )
     wall = time.perf_counter() - t0
@@ -142,156 +84,45 @@ def _highs_milp(p: MilpProblem, gap_tol: float, time_limit_s: float | None) -> M
     )
 
 
-def _fractional(x: np.ndarray, binaries: list[int]) -> list[tuple[float, int]]:
-    out = []
-    for j in binaries:
-        frac = abs(x[j] - round(x[j]))
-        if frac > _INT_TOL:
-            out.append((frac, j))
-    return out
-
-
-_AUTO_BNB_MAX_BINARIES = 30
-
-
-def solve_milp(
-    p: MilpProblem,
-    gap_tol: float = 1e-4,
-    node_limit: int = 100000,
-    time_limit_s: float | None = None,
-    backend: str = "highs",
-    method: str = "auto",
-) -> MilpResult:
-    """Best-bound branch-and-bound on the binary columns.
-
-    Branches on the most-fractional binary (lowest column index on ties);
-    while no incumbent exists the search dives depth-first, then switches to
-    best-bound node selection. Deterministic for identical inputs.
-
-    `method` selects the engine: "bnb" is the in-house branch-and-bound,
-    "highs" delegates the whole MILP to scipy's HiGHS branch-and-cut, and
-    "auto" (default) uses the in-house engine up to
-    `_AUTO_BNB_MAX_BINARIES` binaries and HiGHS beyond that.
-    """
-    binaries = p.binary_columns()
-    if method not in ("auto", "bnb", "highs"):
-        raise ValueError(f"unknown MILP method {method!r}")
-    if method == "highs" or (method == "auto" and len(binaries) > _AUTO_BNB_MAX_BINARIES):
-        return _highs_milp(p, gap_tol, time_limit_s)
-
-    t0 = time.perf_counter()
-    cache = _ArrayLp(p) if backend == "highs" else None
-
-    def relax(fixed: dict[int, float] | None = None) -> LpResult:
-        if cache is not None:
-            return cache.solve(fixed)
-        return solve_relaxation(p, backend, fixed)
-
-    root = relax()
-    if root.status == "infeasible":
-        return MilpResult(status="infeasible", nodes=1, wall_time_s=time.perf_counter() - t0)
-    if root.status == "unbounded":
-        return MilpResult(status="limit", nodes=1, wall_time_s=time.perf_counter() - t0)
-
-    incumbent: np.ndarray | None = None
-    inc_obj = np.inf
-    # node: (bound, insertion order, fixed-bounds dict, lp solution)
-    nodes = [(root.objective, 0, {}, root)]
-    counter = itertools.count(1)
-    explored = 0
-
-    def rel_gap(best: float, bound: float) -> float:
-        if not np.isfinite(best):
-            return np.inf
-        return (best - bound) / max(1.0, abs(best))
-
-    while nodes:
-        if explored >= node_limit:
-            break
-        if time_limit_s is not None and time.perf_counter() - t0 > time_limit_s:
-            break
-        if incumbent is None:
-            # dive: most recently created node first
-            idx = max(range(len(nodes)), key=lambda i: nodes[i][1])
-        else:
-            idx = min(range(len(nodes)), key=lambda i: (nodes[i][0], nodes[i][1]))
-        bound, _, fixed, lp = nodes.pop(idx)
-        explored += 1
-        if bound >= inc_obj - gap_tol * max(1.0, abs(inc_obj)):
-            continue
-        fracs = _fractional(lp.x, binaries)
-        if not fracs:
-            if lp.objective < inc_obj:
-                inc_obj = lp.objective
-                incumbent = lp.x
-            continue
-        fracs.sort(key=lambda t: (-t[0], t[1]))
-        j = fracs[0][1]
-        # explore the branch nearer the LP value first (diving heuristic)
-        first = int(round(lp.x[j]))
-        for v in (first, 1 - first):
-            child_fixed = dict(fixed)
-            child_fixed[j] = float(v)
-            res = relax(child_fixed)
-            if res.status != "optimal":
-                continue
-            if res.objective >= inc_obj - gap_tol * max(1.0, abs(inc_obj)):
-                continue
-            nodes.append((res.objective, next(counter), child_fixed, res))
-
-    wall = time.perf_counter() - t0
-    open_bound = min([b for b, *_ in nodes], default=np.inf)
-    best_bound = min(inc_obj, open_bound) if incumbent is not None else open_bound
-    if incumbent is None:
-        status = "limit" if nodes else "infeasible"
-        return MilpResult(status=status, best_bound=best_bound, nodes=explored, wall_time_s=wall)
-    gap = max(0.0, rel_gap(inc_obj, best_bound))
-    if not nodes or gap <= gap_tol:
-        status = "optimal"
-    else:
-        hit_limit = explored >= node_limit or (
-            time_limit_s is not None and wall > time_limit_s
-        )
-        status = "limit" if hit_limit else "feasible_gap"
-    return MilpResult(
-        status=status,
-        objective=inc_obj,
-        x=incumbent,
-        best_bound=best_bound,
-        gap=gap,
-        nodes=explored,
-        wall_time_s=wall,
-    )
-
-
-def brute_force_milp(
-    p: MilpProblem, max_binaries: int = 20, backend: str = "simplex"
-) -> MilpResult:
+def brute_force_milp(p: MilpProblem, max_binaries: int = 20) -> MilpResult:
     """Enumerate every binary assignment, solve each continuous LP, keep the best.
 
     Test oracle only; refuses problems with more than `max_binaries` binaries.
     """
+    from scipy.optimize import linprog
+
     t0 = time.perf_counter()
     binaries = p.binary_columns()
     if len(binaries) > max_binaries:
         raise ValueError(f"{len(binaries)} binaries exceeds oracle limit {max_binaries}")
-    best: LpResult | None = None
+    c = p.objective()
+    a_ub, b_ub, a_eq, b_eq = p.split_rows()
+    lb, ub = p.bounds()
+    best = None
     count = 0
-    cache = _ArrayLp(p) if backend == "highs" else None
     for bits in itertools.product((0.0, 1.0), repeat=len(binaries)):
-        fixed = dict(zip(binaries, bits))
-        res = cache.solve(fixed) if cache is not None else solve_relaxation(p, backend, fixed)
+        lo, hi = lb.copy(), ub.copy()
+        lo[binaries] = hi[binaries] = bits
+        res = linprog(
+            c,
+            A_ub=a_ub if a_ub.shape[0] else None,
+            b_ub=b_ub if len(b_ub) else None,
+            A_eq=a_eq if a_eq.shape[0] else None,
+            b_eq=b_eq if len(b_eq) else None,
+            bounds=np.column_stack([lo, hi]),
+            method="highs",
+        )
         count += 1
-        if res.status == "optimal" and (best is None or res.objective < best.objective):
+        if res.status == 0 and (best is None or res.fun < best.fun):
             best = res
     wall = time.perf_counter() - t0
     if best is None:
         return MilpResult(status="infeasible", nodes=count, wall_time_s=wall)
     return MilpResult(
         status="optimal",
-        objective=best.objective,
-        x=best.x,
-        best_bound=best.objective,
+        objective=float(best.fun),
+        x=np.asarray(best.x),
+        best_bound=float(best.fun),
         gap=0.0,
         nodes=count,
         wall_time_s=wall,

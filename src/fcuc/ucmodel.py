@@ -4,6 +4,7 @@ independent feasibility audit, and the bridge to the dynamic model.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -111,11 +112,7 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
 
     for g in s.renewable_units + s.ror_units():
         for t in range(1, T + 1):
-            if hasattr(g, "kind"):  # run-of-river
-                ub = g.avail_profile_mw[t - 1]
-            else:
-                ub = g.avail_profile_mw[t - 1]
-            p.add_var(_n("p", g.id, t), g.pmin_mw, ub)
+            p.add_var(_n("p", g.id, t), g.pmin_mw, g.avail_profile_mw[t - 1])
 
     for b in s.batteries:
         gfm = b.inverter == "gfm_vsm"
@@ -298,7 +295,9 @@ def add_nadir_cut(p: MilpProblem, s: SystemScenario, cut: NadirCut, hour: int) -
     if all(c == 0.0 for c in cut.coeffs.values()) or not cut.coeffs:
         raise ValueError("degenerate nadir cut: all coefficients are zero")
     terms, constant = _cut_terms(s, cut)
-    name = f"nadir_{hour}_{abs(hash(cut.key())) % 10**12}"
+    # hash() of a str is salted per process; a digest names the row the same in every run
+    digest = hashlib.blake2b(repr(cut.key()).encode(), digest_size=6).hexdigest()
+    name = f"nadir_{hour}_{digest}"
     if p.has_row(name):
         return p
     coeffs = {}

@@ -176,8 +176,8 @@ def test_criterion_06_milp_oracle():
     for seed in range(50):
         p = build_fcuc(tiny_scenario(seed))
         assert len(p.binary_columns()) <= 12
-        exact = brute_force_milp(p, max_binaries=12, backend="highs")
-        ours = solve_milp(p, gap_tol=1e-9, method="bnb")
+        exact = brute_force_milp(p, max_binaries=12)
+        ours = solve_milp(p, gap_tol=1e-9)
         assert ours.status == exact.status, f"seed {seed}"
         if exact.status == "optimal":
             assert ours.objective == pytest.approx(

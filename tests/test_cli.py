@@ -5,10 +5,12 @@ import json
 
 import pytest
 
+import fcuc.drivers
 from conftest import desk_scenario
-from fcuc.cli import main
+from fcuc.cli import EXIT_SOLVER_LIMIT, main
 from fcuc.mps import parse_mps
-from fcuc.scenario import save_scenario
+from fcuc.scenario import load_scenario, save_scenario
+from fcuc.solver import MilpResult
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,18 @@ def test_solve_non_convergence_exit_2(desk_path, capsys):
 def test_solve_infeasible_exit_3(overload_path, capsys):
     rc = main(["solve", "--model", "proposed", "--scenario", overload_path])
     assert rc == 3
+
+
+def test_solve_solver_limit_exit_4(desk_path, capsys, monkeypatch):
+    """A MILP that stops on a solver limit is reported as "limit", not infeasible."""
+    monkeypatch.setattr(fcuc.drivers, "solve_milp", lambda p, **kw: MilpResult(status="limit"))
+    s = load_scenario(desk_path)
+    assert fcuc.drivers.run_proposed(s).status == "limit"
+    assert fcuc.drivers.run_industry(s).status == "limit"
+    for model in ("proposed", "industry"):
+        rc = main(["solve", "--model", model, "--scenario", desk_path])
+        assert rc == EXIT_SOLVER_LIMIT == 4
+        assert "status\tlimit" in capsys.readouterr().out
 
 
 def test_plan_npv(capsys):

@@ -56,16 +56,6 @@ def test_split_rows_negates_ge():
     assert a_eq.toarray().tolist() == [[1.0]] and b_eq.tolist() == [3.0]
 
 
-def test_copy_is_deep_enough():
-    p = MilpProblem()
-    p.add_var("x")
-    p.add_row("r", {0: 1.0}, LE, 1.0)
-    q = p.copy()
-    q.rows[0].rhs = 99.0
-    q.variables[0].ub = 0.5
-    assert p.rows[0].rhs == 1.0 and p.variables[0].ub == np.inf
-
-
 # ---------------------------------------------------------------------------
 # UC model structure
 

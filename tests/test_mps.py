@@ -1,9 +1,15 @@
 """MPS writer/reader round-trip and external-solver cross-check."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 
+import fcuc
 from conftest import desk_scenario, tiny_scenario
 from fcuc.milp import EQ, GE, LE, MilpProblem
 from fcuc.mps import export_mps, parse_mps
@@ -83,17 +89,51 @@ def _external_solve(p: MilpProblem) -> float:
 
 
 def test_exported_file_solves_to_same_objective(tmp_path):
-    """Criterion 12: external solver on the exported file reproduces the
-    in-house optimum."""
+    """Criterion 12: an external solve of the exported file reproduces the
+    `solve_milp` optimum of the in-memory model."""
     for seed in (0, 3, 7):
         p = build_fcuc(tiny_scenario(seed))
         path = tmp_path / f"t{seed}.mps"
         export_mps(p, str(path))
         reread = parse_mps(str(path))
         external = _external_solve(reread)
-        internal = solve_milp(p, gap_tol=1e-9, method="bnb")
+        internal = solve_milp(p, gap_tol=1e-9)
         assert internal.status == "optimal"
         assert internal.objective == pytest.approx(external, abs=1e-5, rel=1e-8)
+
+
+_EXPORT_WITH_CUT = """
+import sys
+from fcuc.boundary import fit_hyperplane
+from fcuc.dynamics import TechClass
+from fcuc.mps import export_mps
+from fcuc.scenario import load_scenario
+from fcuc.ucmodel import BuildOptions, build_fcuc
+
+s = load_scenario(sys.argv[1])
+cut = fit_hyperplane({TechClass.STEAM: 900.0, TechClass.COMBINED_CYCLE: 700.0}, "hour=5")
+export_mps(build_fcuc(s, BuildOptions(nadir_cuts=((5, cut),))), sys.argv[2])
+"""
+
+
+def test_nadir_cut_export_is_identical_across_hash_seeds(tmp_path):
+    """Row names of nadir cuts do not depend on the per-process string hash."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    example = root / "scripts" / "example_scenario.json"
+    src = str(pathlib.Path(fcuc.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}.mps"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-c", _EXPORT_WITH_CUT, str(example), str(out)],
+            env=env,
+            check=True,
+            timeout=120,
+        )
+        outputs.append(out.read_bytes())
+    assert b" nadir_5_" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_parser_accepts_rhs_defaults_and_comments(tmp_path):
