@@ -16,7 +16,7 @@ from .dynamics import TechClass, assemble_state_space, check_compliance, compute
 from .mps import export_mps
 from .scenario import ScenarioParseError, ScenarioValidationError, load_scenario
 from .studies import equivalence_study, gfm_sensitivity, npv_analysis, study_context
-from .ucmodel import BuildOptions, build_fcuc, fleet_mix
+from .ucmodel import COMMITTED_CLASSES, BuildOptions, build_fcuc, fleet_capacity_mw, fleet_mix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -25,18 +25,11 @@ EXIT_INFEASIBLE = 3
 EXIT_SOLVER_LIMIT = 4
 
 
-def _full_fleet_mix(s, hour):
-    mix = fleet_mix(s, hour)
-    caps = {}
-    caps[TechClass.STEAM] = sum(u.pmax_mw for u in s.coal_units())
-    caps[TechClass.COMBINED_CYCLE] = sum(u.pmax_mw for u in s.gas_units())
-    caps[TechClass.HYDRO_RESERVOIR] = sum(h.pmax_mw for h in s.reservoir_units())
-    return mix.with_capacities(caps)
-
-
 def _cmd_simulate(args) -> int:
     s = load_scenario(args.scenario)
-    mix = _full_fleet_mix(s, args.hour)
+    mix = fleet_mix(s, args.hour).with_capacities(
+        {c: fleet_capacity_mw(s, c) for c in COMMITTED_CLASSES}
+    )
     for ov in args.override or []:
         tech, _, mw = ov.partition("=")
         mix = mix.with_capacity(TechClass(tech), float(mw))

@@ -26,13 +26,16 @@ from .dynamics import FrequencyMetrics, TechClass, check_compliance, response_me
 from .scenario import SystemScenario, Violation
 from .solver import solve_milp
 from .ucmodel import (
+    COMMITTED_CLASSES,
     BuildOptions,
     UcSolution,
     build_fcuc,
     check_feasibility,
     decode_solution,
+    fleet_capacity_mw,
     fleet_mix,
     online_mix,
+    units_of,
 )
 
 __all__ = [
@@ -47,11 +50,10 @@ __all__ = [
     "load_report",
 ]
 
-_AXIS_CLASSES = (TechClass.STEAM, TechClass.COMBINED_CYCLE, TechClass.HYDRO_RESERVOIR)
-
 DEFAULT_ESCALATION = 1.05
 DEFAULT_MAX_ITER = 10
 MILP_GAP_TOL = 1e-4
+BISECT_TOL_MW = 1.0  # edge-point resolution of learned cuts
 
 
 @dataclass
@@ -76,14 +78,12 @@ class RunReport:
 
 
 def _hourly_committed(s: SystemScenario, sol: UcSolution) -> dict[str, dict[int, float]]:
-    out: dict[str, dict[int, float]] = {}
-    for cls in _AXIS_CLASSES:
-        out[cls.value] = {
-            t: sol.committed_capacity_mw(s, t, cls) for t in range(1, s.periods + 1)
-        }
-    out[TechClass.GFM.value] = {
-        t: sum(b.pmax_mw for b in s.gfm_batteries()) for t in range(1, s.periods + 1)
+    hours = range(1, s.periods + 1)
+    out = {
+        cls.value: {t: sol.committed_capacity_mw(s, t, cls) for t in hours}
+        for cls in COMMITTED_CLASSES
     }
+    out[TechClass.GFM.value] = dict.fromkeys(hours, fleet_capacity_mw(s, TechClass.GFM))
     return out
 
 
@@ -103,41 +103,15 @@ def _simulate_all_hours(s: SystemScenario, sol: UcSolution):
     return metrics, failing_nadir, all_ok
 
 
-def _present_axes(s: SystemScenario) -> list[TechClass]:
-    axes = []
-    if s.coal_units():
-        axes.append(TechClass.STEAM)
-    if s.gas_units():
-        axes.append(TechClass.COMBINED_CYCLE)
-    if s.reservoir_units():
-        axes.append(TechClass.HYDRO_RESERVOIR)
-    return axes
-
-
-def _fleet_capacity(s: SystemScenario, cls: TechClass) -> float:
-    if cls == TechClass.STEAM:
-        return sum(u.pmax_mw for u in s.coal_units())
-    if cls == TechClass.COMBINED_CYCLE:
-        return sum(u.pmax_mw for u in s.gas_units())
-    if cls == TechClass.HYDRO_RESERVOIR:
-        return sum(h.pmax_mw for h in s.reservoir_units())
-    return 0.0
-
-
-def _learn_cut(
-    s: SystemScenario,
-    hour: int,
-    axes: list[TechClass],
-    bisect_tol_mw: float,
-) -> NadirCut | None:
+def _learn_cut(s: SystemScenario, hour: int, axes: list[TechClass]) -> NadirCut | None:
     """Edge points -> hyperplane -> conservative repair, for one hour context."""
     context = fleet_mix(s, hour)
     edges: dict[TechClass, float] = {}
     for cls in axes:
-        hi = max(20000.0, 10.0 * _fleet_capacity(s, cls))
+        hi = max(20000.0, 10.0 * fleet_capacity_mw(s, cls))
         base = context.with_capacities({c: 0.0 for c in axes})
         try:
-            res = bisect_min_capacity(cls, base, s.limits, 0.0, hi, bisect_tol_mw)
+            res = bisect_min_capacity(cls, base, s.limits, 0.0, hi, BISECT_TOL_MW)
         except BracketingError:
             continue  # this technology alone cannot reach compliance; drop axis
         if res.capacity_mw > 0:
@@ -148,22 +122,18 @@ def _learn_cut(
     # tighten against a coarse grid over the capacities the MILP can commit
     grid_axes = []
     for cls in edges:
-        top = max(_fleet_capacity(s, cls), edges[cls])
-        grid_axes.append(SweepAxis(cls, 0.0, top, max(top / 6.0, bisect_tol_mw)))
+        top = max(fleet_capacity_mw(s, cls), edges[cls])
+        grid_axes.append(SweepAxis(cls, 0.0, top, max(top / 6.0, BISECT_TOL_MW)))
     grid = sweep_grid(SweepSpec(tuple(grid_axes), context, s.limits))
     return make_conservative(cut, grid)
 
 
-def run_proposed(
-    s: SystemScenario,
-    max_iter: int = DEFAULT_MAX_ITER,
-    bisect_tol_mw: float = 1.0,
-) -> RunReport:
+def run_proposed(s: SystemScenario, max_iter: int = DEFAULT_MAX_ITER) -> RunReport:
     """Iterative FCUC: solve, audit every hour dynamically, add a learned
     nadir cut for each failing hour, repeat until compliant.
     """
     t0 = time.perf_counter()
-    axes = _present_axes(s)
+    axes = [cls for cls in COMMITTED_CLASSES if units_of(s, cls)]
     cuts: list[tuple[int, NadirCut]] = []
     cut_cache: dict[int, NadirCut | None] = {}  # demand-level key -> cut
     metrics: dict[int, FrequencyMetrics] = {}
@@ -202,7 +172,7 @@ def run_proposed(
             if key in cut_cache:
                 cut = cut_cache[key]
             else:
-                cut = _learn_cut(s, hour, axes, bisect_tol_mw)
+                cut = _learn_cut(s, hour, axes)
                 cut_cache[key] = cut
             if cut is None:
                 continue

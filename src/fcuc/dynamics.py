@@ -151,18 +151,14 @@ def make_mix(
     base_power_mw: float = 100.0,
     nominal_freq_hz: float = 50.0,
     dynamics: DynamicParams | None = None,
-    droops: dict[TechClass, float] | None = None,
-    inertias_h: dict[TechClass, float] | None = None,
 ) -> OnlineMix:
     """Build a mix from class capacities with default droop/inertia constants."""
     caps = capacities_mw or {}
-    droops = {**DEFAULT_DROOP, **(droops or {})}
-    inertias = {**DEFAULT_INERTIA_H, **(inertias_h or {})}
     states = {
         cls.value: TechState(
             online_mw=caps.get(cls, 0.0),
-            droop=droops.get(cls, 0.0),
-            inertia_h_s=inertias.get(cls, 0.0),
+            droop=DEFAULT_DROOP.get(cls, 0.0),
+            inertia_h_s=DEFAULT_INERTIA_H[cls],
         )
         for cls in TechClass
     }
@@ -238,7 +234,7 @@ _STATE_LABELS = (
 )
 
 
-def assemble_state_space(mix: OnlineMix, dyn: DynamicParams | None = None) -> LinearSystem:
+def assemble_state_space(mix: OnlineMix) -> LinearSystem:
     """Build the aggregate swing + governor model for one online mix.
 
     State order: delta, steam governor, steam chest, steam reheat, CC lag,
@@ -246,7 +242,7 @@ def assemble_state_space(mix: OnlineMix, dyn: DynamicParams | None = None) -> Li
     on their class capacity; the swing row scales them to MW.
     """
     mix.validate()
-    dyn = dyn or mix.dynamics
+    dyn = mix.dynamics
     n = len(_STATE_LABELS)
     a = np.zeros((n, n))
     b = np.zeros(n)
@@ -421,18 +417,14 @@ def _eig_delta(sys: LinearSystem, times: np.ndarray) -> np.ndarray | None:
     return delta.real
 
 
-def response_metrics(
-    mix: OnlineMix, horizon_s: float | None = None, step_s: float | None = None
-) -> FrequencyMetrics:
+def response_metrics(mix: OnlineMix) -> FrequencyMetrics:
     """Metrics of the post-contingency response.
 
     Nadir and RoCoF come from the exact modal solution evaluated on the same
     sample grid as simulate_response (RK4 fallback when the eigenbasis is
     ill-conditioned); the QSS deviation is the exact asymptote (DC gain).
     """
-    dyn = mix.dynamics
-    horizon = horizon_s if horizon_s is not None else dyn.horizon_s
-    step = step_s if step_s is not None else dyn.step_s
+    horizon, step = mix.dynamics.horizon_s, mix.dynamics.step_s
     sys = assemble_state_space(mix)
     nsteps = int(round(horizon / step))
     times = np.arange(nsteps + 1) * step
@@ -461,13 +453,8 @@ def response_metrics(
 
     f0 = sys.nominal_freq_hz
     nadir_hz = f0 + f0 * float(fine[i_fine])
-    if sys.inertia_mws > 0:
-        rocof = sys.contingency_mw * f0 / sys.inertia_mws
-    else:
-        first = _eig_delta(sys, times[:2])
-        rocof = (
-            abs(f0 * (first[1] - first[0]) / step) if first is not None and len(first) > 1 else 0.0
-        )
+    # zero inertia is only valid with no disturbance (validate()), so then delta == 0
+    rocof = sys.contingency_mw * f0 / sys.inertia_mws if sys.inertia_mws > 0 else 0.0
     # The quasi-steady-state is the asymptote of the linear system, available
     # exactly as its DC gain; the slow hydro governor (reset stretched by
     # R_T/R) settles long after the nadir window, so the final sample of a
@@ -485,47 +472,29 @@ def response_metrics(
     )
 
 
-def _metrics_from_samples(
-    delta: np.ndarray, times: np.ndarray, sys: LinearSystem
-) -> FrequencyMetrics:
-    f0 = sys.nominal_freq_hz
-    i_min = int(np.argmin(delta))
-    nadir_hz = f0 + f0 * float(delta[i_min])
-    if sys.inertia_mws > 0:
-        rocof = sys.contingency_mw * f0 / sys.inertia_mws
-    elif len(delta) > 1:
-        rocof = abs(f0 * (delta[1] - delta[0]) / (times[1] - times[0]))
-    else:
-        rocof = 0.0
-    qss_dev_hz = f0 * abs(float(delta[-1]))
-    return FrequencyMetrics(
-        nadir_hz=nadir_hz,
-        initial_rocof_hz_s=rocof,
-        qss_dev_hz=qss_dev_hz,
-        time_of_nadir_s=float(times[i_min]),
-    )
-
-
-def compute_metrics(trace: FrequencyTrace, f0: float | None = None) -> FrequencyMetrics:
+def compute_metrics(trace: FrequencyTrace) -> FrequencyMetrics:
     """Nadir / initial RoCoF / QSS deviation from a simulated trace.
 
     The initial RoCoF is reported as the analytic instantaneous value
     dPe * f0 / m; the first-step finite difference is its discretization.
     """
-    if len(trace.delta_pu) == 0:
+    delta, times = trace.delta_pu, trace.time_s
+    if len(delta) == 0:
         raise ValueError("empty trace")
-    f0 = f0 if f0 is not None else trace.nominal_freq_hz
-    sys_like = LinearSystem(
-        a=np.zeros((0, 0)),
-        b=np.zeros(0),
-        c_freq=np.zeros(0),
-        mech_rows={},
-        state_labels=(),
-        inertia_mws=trace.inertia_mws,
-        contingency_mw=trace.contingency_mw,
-        nominal_freq_hz=f0,
+    f0 = trace.nominal_freq_hz
+    i_min = int(np.argmin(delta))
+    if trace.inertia_mws > 0:
+        rocof = trace.contingency_mw * f0 / trace.inertia_mws
+    elif len(delta) > 1:
+        rocof = abs(f0 * (delta[1] - delta[0]) / (times[1] - times[0]))
+    else:
+        rocof = 0.0
+    return FrequencyMetrics(
+        nadir_hz=f0 + f0 * float(delta[i_min]),
+        initial_rocof_hz_s=rocof,
+        qss_dev_hz=f0 * abs(float(delta[-1])),
+        time_of_nadir_s=float(times[i_min]),
     )
-    return _metrics_from_samples(trace.delta_pu, trace.time_s, sys_like)
 
 
 def analytic_qss(mix: OnlineMix) -> float:

@@ -25,6 +25,9 @@ __all__ = [
     "study_context",
 ]
 
+#: upper end of the bisection window for the study edge points
+STUDY_HI_MW = 50000.0
+
 
 @dataclass(frozen=True)
 class NpvResult:
@@ -102,7 +105,6 @@ def equivalence_study(
     tech_a: TechClass,
     tech_b: TechClass,
     context: OnlineMix | None = None,
-    hi_mw: float = 50000.0,
     tol_mw: float = 1.0,
 ) -> EquivalenceResult:
     """Per-MW nadir-effect ratio: how many MW of tech_b match 1 MW of tech_a,
@@ -111,8 +113,8 @@ def equivalence_study(
     """
     ctx = context if context is not None else study_context(s)
     ctx = ctx.with_capacities({tech_a: 0.0, tech_b: 0.0})
-    res_a = bisect_min_capacity(tech_a, ctx, s.limits, 0.0, hi_mw, tol_mw)
-    res_b = bisect_min_capacity(tech_b, ctx, s.limits, 0.0, hi_mw, tol_mw)
+    res_a = bisect_min_capacity(tech_a, ctx, s.limits, 0.0, STUDY_HI_MW, tol_mw)
+    res_b = bisect_min_capacity(tech_b, ctx, s.limits, 0.0, STUDY_HI_MW, tol_mw)
     if res_a.capacity_mw <= 0:
         raise ValueError(f"{tech_a.value}: degenerate zero edge point")
     return EquivalenceResult(
@@ -128,7 +130,6 @@ def gfm_sensitivity(
     s: SystemScenario,
     time_constants_s: tuple[float, ...] = (0.02, 0.1, 1.0),
     context: OnlineMix | None = None,
-    hi_mw: float = 50000.0,
     tol_mw: float = 1.0,
 ) -> list[tuple[float, EquivalenceResult]]:
     """GFM-vs-SC equivalence re-evaluated for each inverter response lag."""
@@ -138,8 +139,6 @@ def gfm_sensitivity(
     base = context if context is not None else study_context(s)
     for tc in time_constants_s:
         ctx = replace(base, dynamics=replace(base.dynamics, gfm_lag_s=tc))
-        res = equivalence_study(
-            s, TechClass.GFM, TechClass.CONDENSER, context=ctx, hi_mw=hi_mw, tol_mw=tol_mw
-        )
+        res = equivalence_study(s, TechClass.GFM, TechClass.CONDENSER, context=ctx, tol_mw=tol_mw)
         out.append((tc, res))
     return out

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .boundary import NadirCut
-from .dynamics import OnlineMix, TechClass, TechState
+from .dynamics import GOVERNOR_CLASSES, OnlineMix, TechClass, TechState
 from .milp import EQ, GE, LE, MilpProblem
-from .scenario import SystemScenario, Violation
+from .scenario import SyncCondenser, SystemScenario, Violation
 
 __all__ = [
     "BuildOptions",
@@ -23,12 +23,39 @@ __all__ = [
     "check_feasibility",
     "online_mix",
     "fleet_mix",
+    "COMMITTED_CLASSES",
+    "units_of",
+    "fleet_capacity_mw",
 ]
 
 DT_H = 1.0  # hourly stages throughout
 
-#: cut classes whose online capacity is commitment-dependent
-_COMMITTED_CLASSES = (TechClass.STEAM, TechClass.COMBINED_CYCLE, TechClass.HYDRO_RESERVOIR)
+#: the scenario units that make up each technology class
+_CLASS_UNITS = {
+    TechClass.STEAM: SystemScenario.coal_units,
+    TechClass.COMBINED_CYCLE: SystemScenario.gas_units,
+    TechClass.HYDRO_RESERVOIR: SystemScenario.reservoir_units,
+    TechClass.GFM: SystemScenario.gfm_batteries,
+    TechClass.RUN_OF_RIVER: SystemScenario.ror_units,
+    TechClass.CONDENSER: lambda s: s.condensers,
+}
+
+#: classes whose online capacity is commitment-dependent
+COMMITTED_CLASSES = (TechClass.STEAM, TechClass.COMBINED_CYCLE, TechClass.HYDRO_RESERVOIR)
+
+
+def units_of(s: SystemScenario, cls: TechClass) -> tuple:
+    """The scenario's units of one technology class."""
+    return _CLASS_UNITS[cls](s)
+
+
+def _rating_mw(u) -> float:
+    return u.rating_mw if isinstance(u, SyncCondenser) else u.pmax_mw
+
+
+def fleet_capacity_mw(s: SystemScenario, cls: TechClass) -> float:
+    """Installed capacity of a class: condenser ratings, unit pmax otherwise."""
+    return sum(_rating_mw(u) for u in units_of(s, cls))
 
 
 @dataclass(frozen=True)
@@ -58,15 +85,9 @@ class UcSolution:
     cost_breakdown: dict[str, float] = field(default_factory=dict)
 
     def committed_capacity_mw(self, s: SystemScenario, hour: int, cls: TechClass) -> float:
-        if cls == TechClass.STEAM:
-            units = s.coal_units()
-        elif cls == TechClass.COMBINED_CYCLE:
-            units = s.gas_units()
-        elif cls == TechClass.HYDRO_RESERVOIR:
-            units = s.reservoir_units()
-        else:
+        if cls not in COMMITTED_CLASSES:
             raise ValueError(f"{cls.value} has no commitment variables")
-        return sum(u.pmax_mw * self.commit[(u.id, hour)] for u in units)
+        return sum(u.pmax_mw * self.commit[(u.id, hour)] for u in units_of(s, cls))
 
 
 # ---------------------------------------------------------------------------
@@ -256,31 +277,20 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
 
 def _cut_terms(s: SystemScenario, cut: NadirCut):
     """Split cut coefficients into commitment-linked columns and a constant."""
-    units_by_class = {
-        TechClass.STEAM: s.coal_units(),
-        TechClass.COMBINED_CYCLE: s.gas_units(),
-        TechClass.HYDRO_RESERVOIR: s.reservoir_units(),
-    }
-    const_by_class = {
-        TechClass.GFM: sum(b.pmax_mw for b in s.gfm_batteries()),
-        TechClass.RUN_OF_RIVER: sum(h.pmax_mw for h in s.ror_units()),
-        TechClass.CONDENSER: sum(c.rating_mw for c in s.condensers),
-    }
     terms: list[tuple[str, float]] = []
     constant = 0.0
     for tech, coeff in cut.coeffs.items():
         if coeff == 0.0:
             continue
-        if tech in units_by_class:
-            units = units_by_class[tech]
+        if tech in COMMITTED_CLASSES:
+            units = units_of(s, tech)
             if not units:
                 raise ValueError(
                     f"nadir cut references {tech.value} but the scenario has no such units"
                 )
-            for u in units:
-                terms.append((u.id, coeff * u.pmax_mw))
+            terms += [(u.id, coeff * u.pmax_mw) for u in units]
         else:
-            constant += coeff * const_by_class.get(tech, 0.0)
+            constant += coeff * fleet_capacity_mw(s, tech)
     return terms, constant
 
 
@@ -529,14 +539,11 @@ def check_feasibility(
             flag("inertia_floor", "system", t, opts.inertia_floor_mws - sol.inertia_mws[t])
 
     for hour, cut in opts.nadir_cuts:
-        lhs = 0.0
         caps = {
-            TechClass.GFM: sum(b.pmax_mw for b in s.gfm_batteries()),
-            TechClass.RUN_OF_RIVER: sum(h.pmax_mw for h in s.ror_units()),
-            TechClass.CONDENSER: sum(c.rating_mw for c in s.condensers),
+            cls: sol.committed_capacity_mw(s, hour, cls) if cls in COMMITTED_CLASSES
+            else fleet_capacity_mw(s, cls)
+            for cls in TechClass
         }
-        for cls in _COMMITTED_CLASSES:
-            caps[cls] = sol.committed_capacity_mw(s, hour, cls)
         lhs = cut.lhs(caps)
         if lhs < cut.intercept - tol:
             flag("nadir_cut", "system", hour, cut.intercept - lhs)
@@ -562,52 +569,47 @@ def _aggregate(entries: list[tuple[float, float, float]]) -> TechState:
     return TechState(online_mw=cap, droop=droop if droop > 0 else 0.05, inertia_h_s=h)
 
 
-def online_mix(s: SystemScenario, sol: UcSolution, hour: int) -> OnlineMix:
-    """Online mix implied by a solution at one hour, for dynamic verification."""
-    if not 1 <= hour <= s.periods:
-        raise ValueError(f"hour {hour} out of range 1..{s.periods}")
+def _fleet_entries(s: SystemScenario, cls: TechClass) -> list[tuple[float, float, float]]:
+    """(capacity, droop, inertia) of every unit of a class at full rating;
+    inertia-only classes carry no droop."""
+    return [
+        (_rating_mw(u), u.droop if cls in GOVERNOR_CLASSES else 0.0, u.inertia_h_s)
+        for u in units_of(s, cls)
+    ]
 
-    def committed_entries(units):
-        return [
-            (u.pmax_mw * sol.commit[(u.id, hour)], u.droop, u.inertia_h_s)
-            for u in units
-            if sol.commit[(u.id, hour)] > 0.5
-        ]
 
-    states = {
-        TechClass.STEAM: _aggregate(committed_entries(s.coal_units())),
-        TechClass.COMBINED_CYCLE: _aggregate(committed_entries(s.gas_units())),
-        TechClass.HYDRO_RESERVOIR: _aggregate(committed_entries(s.reservoir_units())),
-        TechClass.GFM: _aggregate(
-            [(b.pmax_mw, b.droop, b.inertia_h_s) for b in s.gfm_batteries()]
-        ),
-        TechClass.RUN_OF_RIVER: _aggregate(
-            [(h.pmax_mw, 0.0, h.inertia_h_s) for h in s.ror_units()]
-        ),
-        TechClass.CONDENSER: _aggregate(
-            [(c.rating_mw, 0.0, c.inertia_h_s) for c in s.condensers]
-        ),
-    }
+def _mix(
+    s: SystemScenario, hour: int, entries: dict[TechClass, list[tuple[float, float, float]]]
+) -> OnlineMix:
+    """One OnlineMix from per-class unit entries; the GFM lag is the
+    capacity-weighted mean of the scenario's GFM time constants."""
     dyn = s.dynamics
     gfm = s.gfm_batteries()
-    if gfm:
-        cap = sum(b.pmax_mw for b in gfm)
-        if cap > 0:
-            lag = sum(b.pmax_mw * b.gfm_time_constant_s for b in gfm) / cap
-            dyn = replace(dyn, gfm_lag_s=lag)
+    cap = sum(b.pmax_mw for b in gfm)
+    if cap > 0:
+        dyn = replace(dyn, gfm_lag_s=sum(b.pmax_mw * b.gfm_time_constant_s for b in gfm) / cap)
     return OnlineMix(
-        steam=states[TechClass.STEAM],
-        combined_cycle=states[TechClass.COMBINED_CYCLE],
-        hydro_reservoir=states[TechClass.HYDRO_RESERVOIR],
-        gfm=states[TechClass.GFM],
-        run_of_river=states[TechClass.RUN_OF_RIVER],
-        condenser=states[TechClass.CONDENSER],
+        **{cls.value: _aggregate(entries[cls]) for cls in TechClass},
         load_damping_mw_per_pu=s.damping_at(hour),
         contingency_mw=s.contingency_mw,
         base_power_mw=s.base_power_mw,
         nominal_freq_hz=s.nominal_freq_hz,
         dynamics=dyn,
     )
+
+
+def online_mix(s: SystemScenario, sol: UcSolution, hour: int) -> OnlineMix:
+    """Online mix implied by a solution at one hour, for dynamic verification."""
+    if not 1 <= hour <= s.periods:
+        raise ValueError(f"hour {hour} out of range 1..{s.periods}")
+    entries = {cls: _fleet_entries(s, cls) for cls in TechClass}
+    for cls in COMMITTED_CLASSES:
+        entries[cls] = [
+            (u.pmax_mw * sol.commit[(u.id, hour)], u.droop, u.inertia_h_s)
+            for u in units_of(s, cls)
+            if sol.commit[(u.id, hour)] > 0.5
+        ]
+    return _mix(s, hour, entries)
 
 
 def fleet_mix(s: SystemScenario, hour: int) -> OnlineMix:
@@ -615,32 +617,5 @@ def fleet_mix(s: SystemScenario, hour: int) -> OnlineMix:
     fleet-aggregate droop/inertia constants; constant classes at full rating.
     Assumes within-class units are dynamically similar.
     """
-
-    def fleet(units, attr_cap="pmax_mw"):
-        return _aggregate(
-            [(getattr(u, attr_cap), getattr(u, "droop", 0.0), u.inertia_h_s) for u in units]
-        )
-
-    def zero_cap(st: TechState) -> TechState:
-        return replace(st, online_mw=0.0)
-
-    dyn = s.dynamics
-    gfm = s.gfm_batteries()
-    if gfm:
-        cap = sum(b.pmax_mw for b in gfm)
-        if cap > 0:
-            lag = sum(b.pmax_mw * b.gfm_time_constant_s for b in gfm) / cap
-            dyn = replace(dyn, gfm_lag_s=lag)
-    return OnlineMix(
-        steam=zero_cap(fleet(s.coal_units())),
-        combined_cycle=zero_cap(fleet(s.gas_units())),
-        hydro_reservoir=zero_cap(fleet(s.reservoir_units())),
-        gfm=fleet(s.gfm_batteries()),
-        run_of_river=fleet(s.ror_units()),
-        condenser=fleet(s.condensers, attr_cap="rating_mw"),
-        load_damping_mw_per_pu=s.damping_at(hour),
-        contingency_mw=s.contingency_mw,
-        base_power_mw=s.base_power_mw,
-        nominal_freq_hz=s.nominal_freq_hz,
-        dynamics=dyn,
-    )
+    mix = _mix(s, hour, {cls: _fleet_entries(s, cls) for cls in TechClass})
+    return mix.with_capacities(dict.fromkeys(COMMITTED_CLASSES, 0.0))

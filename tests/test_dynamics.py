@@ -140,6 +140,13 @@ def test_zero_inertia_rejected():
         assemble_state_space(mix)
 
 
+def test_zero_inertia_without_disturbance_has_flat_response():
+    met = response_metrics(
+        make_mix(capacities_mw={}, load_damping_mw_per_pu=500.0, contingency_mw=0.0)
+    )
+    assert (met.initial_rocof_hz_s, met.nadir_hz, met.qss_dev_hz) == (0.0, 50.0, 0.0)
+
+
 def test_higher_damping_raises_nadir():
     base = dict(capacities_mw={TechClass.HYDRO_RESERVOIR: 400.0}, contingency_mw=100.0)
     low = response_metrics(make_mix(load_damping_mw_per_pu=500.0, **base))

@@ -1,21 +1,29 @@
 """MILP container bookkeeping and UC model structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import desk_scenario
+from conftest import battery_scenario, desk_scenario
 from fcuc.boundary import NadirCut
 from fcuc.dynamics import TechClass
 from fcuc.milp import EQ, GE, LE, MilpProblem
+from fcuc.scenario import Battery, validate_scenario
 from fcuc.solver import solve_milp
 from fcuc.ucmodel import (
+    _CLASS_UNITS,
+    COMMITTED_CLASSES,
     BuildOptions,
+    UcSolution,
     add_nadir_cut,
     build_fcuc,
     check_feasibility,
     decode_solution,
+    fleet_capacity_mw,
     fleet_mix,
     online_mix,
+    units_of,
 )
 
 
@@ -244,3 +252,94 @@ def test_equivalent_droop_preserves_gain(desk_s):
     cap = sum(u.pmax_mw for u in units)
     gain = sum(u.pmax_mw / u.droop for u in units)
     assert cap / st.droop == pytest.approx(gain)
+
+
+# ---------------------------------------------------------------------------
+# technology-class map
+
+@pytest.fixture(scope="module")
+def two_gfm():
+    """Battery desk day with two GFM batteries of different response lags."""
+    base = battery_scenario(name="desk-2gfm")
+    gfm = (
+        Battery("gfm_fast", "gfm_vsm", 100.0, 400.0, 40.0, 200.0, cost_var=2.0,
+                inertia_h_s=5.0, droop=0.05, gfm_time_constant_s=0.02),
+        Battery("gfm_slow", "gfm_vsm", 300.0, 1200.0, 120.0, 600.0, cost_var=2.0,
+                inertia_h_s=4.0, droop=0.04, gfm_time_constant_s=0.2),
+    )
+    s = dataclasses.replace(base, batteries=gfm + base.gfl_batteries())
+    assert validate_scenario(s) == []
+    return s
+
+
+def _all_committed(s) -> UcSolution:
+    """A solution with every committed unit on at every hour; online_mix reads
+    only the commitment."""
+    commit = {(u.id, t): 1.0 for u in s.committed_units() for t in range(1, s.periods + 1)}
+    return UcSolution(commit, *([{}] * 11), objective=0.0)
+
+
+def test_class_table_is_total_and_partitions_the_fleet(two_gfm):
+    s = two_gfm
+    assert set(_CLASS_UNITS) == set(TechClass)
+    ids = [u.id for cls in TechClass for u in units_of(s, cls)]
+    assert len(ids) == len(set(ids))
+    fleet = s.thermal_units + s.hydro_units + s.gfm_batteries() + s.condensers
+    assert set(ids) == {u.id for u in fleet}
+    assert set(COMMITTED_CLASSES) == {
+        cls for cls in TechClass if set(units_of(s, cls)) <= set(s.committed_units())
+    }
+    assert fleet_capacity_mw(s, TechClass.STEAM) == sum(u.pmax_mw for u in s.coal_units())
+    assert fleet_capacity_mw(s, TechClass.GFM) == 400.0
+    assert fleet_capacity_mw(s, TechClass.CONDENSER) == sum(c.rating_mw for c in s.condensers)
+
+
+def test_gfm_lag_is_capacity_weighted_in_both_mixes(two_gfm):
+    s = two_gfm
+    assert online_mix(s, _all_committed(s), 1).dynamics.gfm_lag_s == 0.155
+    assert fleet_mix(s, 1).dynamics.gfm_lag_s == 0.155
+
+
+def test_full_commitment_online_mix_is_the_full_fleet_mix(two_gfm):
+    s = two_gfm
+    sol = _all_committed(s)
+    full = {cls: fleet_capacity_mw(s, cls) for cls in COMMITTED_CLASSES}
+    for t in range(1, s.periods + 1):
+        assert online_mix(s, sol, t) == fleet_mix(s, t).with_capacities(full)
+
+
+def test_constant_class_cut_folds_into_rhs_and_audit_agrees():
+    s = battery_scenario()
+    hour = 3
+    coeffs = {
+        TechClass.STEAM: 1 / 300.0,
+        TechClass.HYDRO_RESERVOIR: 1 / 600.0,
+        TechClass.GFM: 1 / 2000.0,
+        TechClass.RUN_OF_RIVER: 1 / 4000.0,
+        TechClass.CONDENSER: 1 / 1000.0,
+    }
+    const = (
+        coeffs[TechClass.GFM] * sum(b.pmax_mw for b in s.gfm_batteries())
+        + coeffs[TechClass.RUN_OF_RIVER] * sum(h.pmax_mw for h in s.ror_units())
+        + coeffs[TechClass.CONDENSER] * sum(c.rating_mw for c in s.condensers)
+    )
+    p = build_fcuc(s)
+    res = solve_milp(p, gap_tol=1e-6)
+    assert res.status == "optimal"
+    sol = decode_solution(p, s, res.x, res.objective)
+
+    add_nadir_cut(p, s, NadirCut(coeffs, 0.0), hour)
+    committed_lhs = sum(c * res.x[j] for j, c in p.rows[-1].coeffs.items())
+    verdicts = []
+    # intercepts just above / below the lhs at x; each constant class adds >= 0.02
+    for offset in (0.01, -0.01):
+        cut = NadirCut(coeffs, committed_lhs + const + offset)
+        add_nadir_cut(p, s, cut, hour)
+        row = p.rows[-1]
+        assert row.sense == GE
+        assert row.rhs == pytest.approx(cut.intercept - const, rel=1e-12)
+        row_ok = sum(c * res.x[j] for j, c in row.coeffs.items()) >= row.rhs - 1e-6
+        bad = check_feasibility(s, sol, opts=BuildOptions(nadir_cuts=((hour, cut),)))
+        assert row_ok == (not any(v.path.startswith("nadir_cut") for v in bad))
+        verdicts.append(row_ok)
+    assert verdicts == [False, True]

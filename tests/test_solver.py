@@ -14,14 +14,13 @@ from fcuc.ucmodel import build_fcuc
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "example_scenario.json"
 
 
-def test_solve_milp_matches_brute_force_on_small_uc_instances():
+def test_solve_milp_matches_brute_force_on_small_uc_instances(milp_oracle):
     """Criterion 6: optimal objectives agree on >= 50 generated instances."""
+    exact_all, _ = milp_oracle
     agreed = 0
-    for seed in range(50):
-        s = tiny_scenario(seed)
-        p = build_fcuc(s)
+    for seed, exact in enumerate(exact_all):
+        p = build_fcuc(tiny_scenario(seed))
         assert len(p.binary_columns()) <= 10
-        exact = brute_force_milp(p, max_binaries=10)
         ours = solve_milp(p, gap_tol=1e-9)
         assert ours.status == exact.status, f"seed {seed}"
         if exact.status == "optimal":
