@@ -22,9 +22,7 @@ from .dynamics import (
     simulate_response,
     response_metrics,
     compute_metrics,
-    analytic_qss,
     check_compliance,
-    make_mix,
 )
 from .boundary import (
     NadirCut,
@@ -46,7 +44,7 @@ from .ucmodel import (
     decode_solution,
     online_mix,
 )
-from .solver import MilpResult, brute_force_milp, solve_milp
+from .solver import MilpResult, solve_milp
 from .mps import export_mps, parse_mps
 from .drivers import RunReport, compare_runs, run_industry, run_proposed
 from .studies import NpvResult, equivalence_study, gfm_sensitivity, npv_analysis

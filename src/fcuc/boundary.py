@@ -27,12 +27,14 @@ __all__ = [
     "sweep_grid",
     "bisect_min_capacity",
     "find_edge_points",
+    "require_edges",
     "fit_hyperplane",
     "make_conservative",
 ]
 
 DEFAULT_GRANULARITY_MW = 50.0
-DEFAULT_BISECT_TOL_MW = 1.0
+BISECT_TOL_MW = 1.0  # edge-point resolution
+EDGE_HI_MW = 20000.0  # default top of the edge-point search window
 
 
 class BracketingError(ValueError):
@@ -150,8 +152,8 @@ def bisect_min_capacity(
     context: OnlineMix,
     limits: FrequencyLimits,
     lo_mw: float = 0.0,
-    hi_mw: float = 20000.0,
-    tol_mw: float = DEFAULT_BISECT_TOL_MW,
+    hi_mw: float = EDGE_HI_MW,
+    tol_mw: float = BISECT_TOL_MW,
 ) -> BisectionResult:
     """Smallest online capacity of `tech` (others as in context) passing the
     nadir requirement, to within tol_mw. Relies on pass-region monotonicity.
@@ -180,17 +182,33 @@ def find_edge_points(
     axes: tuple[TechClass, ...] | list[TechClass],
     context: OnlineMix,
     limits: FrequencyLimits,
-    hi_mw: float = 20000.0,
-    tol_mw: float = DEFAULT_BISECT_TOL_MW,
+    hi_mw: float = EDGE_HI_MW,
+    tol_mw: float = BISECT_TOL_MW,
 ) -> dict[TechClass, float]:
     """One edge point per axis: the bisected minimum capacity of that
-    technology with every other swept technology at zero.
+    technology with every swept technology at zero. An axis that cannot
+    comply alone within [0, hi_mw] is left out; one that already complies
+    at zero gets edge 0.0.
     """
     base = context.with_capacities({t: 0.0 for t in axes})
     edges: dict[TechClass, float] = {}
     for tech in axes:
-        res = bisect_min_capacity(tech, base, limits, 0.0, hi_mw, tol_mw)
-        edges[tech] = res.capacity_mw
+        try:
+            edges[tech] = bisect_min_capacity(tech, base, limits, 0.0, hi_mw, tol_mw).capacity_mw
+        except BracketingError:
+            continue
+    return edges
+
+
+def require_edges(
+    edges: dict[TechClass, float], axes: tuple[TechClass, ...] | list[TechClass], hi_mw: float
+) -> dict[TechClass, float]:
+    """The edges, if every axis has one; else BracketingError naming the first without."""
+    for tech in axes:
+        if tech not in edges:
+            raise BracketingError(
+                f"{tech.value}: nadir requirement infeasible on window [0, {hi_mw}] MW"
+            )
     return edges
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from .boundary import BracketingError, SweepAxis, SweepSpec, find_edge_points, fit_hyperplane, make_conservative, sweep_grid
+from .boundary import DEFAULT_GRANULARITY_MW, BracketingError, SweepAxis, SweepSpec, find_edge_points, fit_hyperplane, make_conservative, require_edges, sweep_grid
 from .drivers import compare_runs, load_report, run_industry, run_proposed, save_report, write_dispatch_table
-from .dynamics import TechClass, assemble_state_space, check_compliance, compute_metrics, export_trace, simulate_response
+from .dynamics import TechClass, assemble_state_space, check_compliance, export_trace, response_metrics, simulate_response
 from .mps import export_mps
 from .scenario import ScenarioParseError, ScenarioValidationError, load_scenario
 from .studies import equivalence_study, gfm_sensitivity, npv_analysis, study_context
@@ -33,9 +33,7 @@ def _cmd_simulate(args) -> int:
     for ov in args.override or []:
         tech, _, mw = ov.partition("=")
         mix = mix.with_capacity(TechClass(tech), float(mw))
-    sys_ = assemble_state_space(mix)
-    trace = simulate_response(sys_, mix.dynamics.horizon_s, mix.dynamics.step_s)
-    met = compute_metrics(trace)
+    met = response_metrics(mix)
     rep = check_compliance(met, s.limits)
     print(f"nadir_hz\t{met.nadir_hz:.4f}")
     print(f"initial_rocof_hz_s\t{met.initial_rocof_hz_s:.4f}")
@@ -43,6 +41,9 @@ def _cmd_simulate(args) -> int:
     print(f"time_of_nadir_s\t{met.time_of_nadir_s:.3f}")
     print(f"compliant\t{rep.passed}")
     if args.trace_out:
+        trace = simulate_response(
+            assemble_state_space(mix), mix.dynamics.horizon_s, mix.dynamics.step_s
+        )
         export_trace(trace, args.trace_out, decimate=args.decimate)
     return EXIT_OK
 
@@ -53,7 +54,7 @@ def _parse_axis(text: str) -> SweepAxis:
         raise argparse.ArgumentTypeError("axis format: tech:min:max[:step]")
     tech = TechClass(parts[0])
     lo, hi = float(parts[1]), float(parts[2])
-    step = float(parts[3]) if len(parts) == 4 else 50.0
+    step = float(parts[3]) if len(parts) == 4 else DEFAULT_GRANULARITY_MW
     return SweepAxis(tech, lo, hi, step)
 
 
@@ -74,9 +75,9 @@ def _cmd_boundary(args) -> int:
     else:
         sys.stdout.write(grid_text)
 
-    edges = find_edge_points(
-        [a.tech for a in spec.axes], context, s.limits, hi_mw=max(a.max_mw for a in spec.axes)
-    )
+    techs = [a.tech for a in spec.axes]
+    hi = max(a.max_mw for a in spec.axes)
+    edges = require_edges(find_edge_points(techs, context, s.limits, hi_mw=hi), techs, hi)
     cut = make_conservative(fit_hyperplane(edges, context_id=f"hour={args.hour}"), grid)
     doc = {
         "hour": args.hour,

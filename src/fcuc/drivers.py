@@ -13,11 +13,13 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .boundary import (
-    BracketingError,
+    BISECT_TOL_MW,
+    EDGE_HI_MW,
     NadirCut,
     SweepAxis,
     SweepSpec,
-    bisect_min_capacity,
+    bisect_min_capacity,  # noqa: F401  bench/spans.py wraps it here by name
+    find_edge_points,
     fit_hyperplane,
     make_conservative,
     sweep_grid,
@@ -53,7 +55,6 @@ __all__ = [
 DEFAULT_ESCALATION = 1.05
 DEFAULT_MAX_ITER = 10
 MILP_GAP_TOL = 1e-4
-BISECT_TOL_MW = 1.0  # edge-point resolution of learned cuts
 
 
 @dataclass
@@ -106,18 +107,10 @@ def _simulate_all_hours(s: SystemScenario, sol: UcSolution):
 def _learn_cut(s: SystemScenario, hour: int, axes: list[TechClass]) -> NadirCut | None:
     """Edge points -> hyperplane -> conservative repair, for one hour context."""
     context = fleet_mix(s, hour)
-    edges: dict[TechClass, float] = {}
-    for cls in axes:
-        hi = max(20000.0, 10.0 * fleet_capacity_mw(s, cls))
-        base = context.with_capacities({c: 0.0 for c in axes})
-        try:
-            res = bisect_min_capacity(cls, base, s.limits, 0.0, hi, BISECT_TOL_MW)
-        except BracketingError:
-            continue  # this technology alone cannot reach compliance; drop axis
-        if res.capacity_mw > 0:
-            edges[cls] = res.capacity_mw
-    if not edges:
-        return None
+    hi = max(EDGE_HI_MW, 10.0 * max((fleet_capacity_mw(s, c) for c in axes), default=0.0))
+    edges = find_edge_points(axes, context, s.limits, hi, BISECT_TOL_MW)
+    if not edges or min(edges.values()) <= 0:
+        return None  # no axis complies alone, or the context complies with all at zero
     cut = fit_hyperplane(edges, context_id=f"hour={hour}")
     # tighten against a coarse grid over the capacities the MILP can commit
     grid_axes = []

@@ -37,7 +37,6 @@ __all__ = [
     "simulate_response",
     "response_metrics",
     "compute_metrics",
-    "analytic_qss",
     "check_compliance",
 ]
 
@@ -93,12 +92,6 @@ class TechState:
     droop: float = 0.05  # p.u. on the aggregate base; unused for inertia-only classes
     inertia_h_s: float = 0.0
 
-    def gain(self) -> float:
-        """Steady-state governor gain in MW per p.u. frequency deviation."""
-        if self.online_mw <= 0 or self.droop <= 0:
-            return 0.0
-        return self.online_mw / self.droop
-
 
 @dataclass(frozen=True)
 class OnlineMix:
@@ -112,7 +105,6 @@ class OnlineMix:
     condenser: TechState
     load_damping_mw_per_pu: float
     contingency_mw: float
-    base_power_mw: float
     nominal_freq_hz: float
     dynamics: DynamicParams
 
@@ -143,35 +135,6 @@ class OnlineMix:
             )
 
 
-def make_mix(
-    *,
-    capacities_mw: dict[TechClass, float] | None = None,
-    load_damping_mw_per_pu: float,
-    contingency_mw: float,
-    base_power_mw: float = 100.0,
-    nominal_freq_hz: float = 50.0,
-    dynamics: DynamicParams | None = None,
-) -> OnlineMix:
-    """Build a mix from class capacities with default droop/inertia constants."""
-    caps = capacities_mw or {}
-    states = {
-        cls.value: TechState(
-            online_mw=caps.get(cls, 0.0),
-            droop=DEFAULT_DROOP.get(cls, 0.0),
-            inertia_h_s=DEFAULT_INERTIA_H[cls],
-        )
-        for cls in TechClass
-    }
-    return OnlineMix(
-        load_damping_mw_per_pu=load_damping_mw_per_pu,
-        contingency_mw=contingency_mw,
-        base_power_mw=base_power_mw,
-        nominal_freq_hz=nominal_freq_hz,
-        dynamics=dynamics or DynamicParams(),
-        **states,  # type: ignore[arg-type]
-    )
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     """x' = A x + b with constant b (step disturbance applied at t = 0)."""
@@ -180,7 +143,6 @@ class LinearSystem:
     b: np.ndarray
     c_freq: np.ndarray  # row selecting the frequency deviation
     mech_rows: dict[TechClass, np.ndarray]  # MW mechanical power per governor class
-    state_labels: tuple[str, ...]
     inertia_mws: float
     contingency_mw: float
     nominal_freq_hz: float
@@ -222,18 +184,6 @@ class ComplianceReport:
 # ---------------------------------------------------------------------------
 # assembly
 
-_STATE_LABELS = (
-    "delta",
-    "steam_gov",
-    "steam_chest",
-    "steam_reheat",
-    "cc_lag",
-    "hydro_gov",
-    "hydro_water",
-    "gfm_lag",
-)
-
-
 def assemble_state_space(mix: OnlineMix) -> LinearSystem:
     """Build the aggregate swing + governor model for one online mix.
 
@@ -243,7 +193,7 @@ def assemble_state_space(mix: OnlineMix) -> LinearSystem:
     """
     mix.validate()
     dyn = mix.dynamics
-    n = len(_STATE_LABELS)
+    n = 8  # states, in the order above
     a = np.zeros((n, n))
     b = np.zeros(n)
 
@@ -319,7 +269,6 @@ def assemble_state_space(mix: OnlineMix) -> LinearSystem:
             TechClass.HYDRO_RESERVOIR: hydro_row,
             TechClass.GFM: gfm_row,
         },
-        state_labels=_STATE_LABELS,
         inertia_mws=m,
         contingency_mw=mix.contingency_mw,
         nominal_freq_hz=mix.nominal_freq_hz,
@@ -420,9 +369,10 @@ def _eig_delta(sys: LinearSystem, times: np.ndarray) -> np.ndarray | None:
 def response_metrics(mix: OnlineMix) -> FrequencyMetrics:
     """Metrics of the post-contingency response.
 
-    Nadir and RoCoF come from the exact modal solution evaluated on the same
-    sample grid as simulate_response (RK4 fallback when the eigenbasis is
-    ill-conditioned); the QSS deviation is the exact asymptote (DC gain).
+    Nadir and its time come from the exact modal solution sampled on the same
+    grid as simulate_response, or from the RK4 trace itself when the
+    eigenbasis is ill-conditioned. RoCoF and the QSS deviation (the exact
+    asymptote, DC gain) are computed the same way on both paths.
     """
     horizon, step = mix.dynamics.horizon_s, mix.dynamics.step_s
     sys = assemble_state_space(mix)
@@ -439,15 +389,18 @@ def response_metrics(mix: OnlineMix) -> FrequencyMetrics:
     if coarse_idx[-1] != nsteps:
         coarse_idx = np.append(coarse_idx, nsteps)
     coarse = _eig_delta(sys, times[coarse_idx])
-    if coarse is None:
-        return compute_metrics(simulate_response(sys, horizon, step))
-    k = int(np.argmin(coarse))
-    lo = int(coarse_idx[max(0, k - 2)])
-    hi = int(coarse_idx[min(len(coarse_idx) - 1, k + 2)])
-    fine_idx = np.arange(lo, hi + 1)
-    fine = _eig_delta(sys, times[fine_idx])
+    fine = None
+    if coarse is not None:
+        k = int(np.argmin(coarse))
+        lo = int(coarse_idx[max(0, k - 2)])
+        hi = int(coarse_idx[min(len(coarse_idx) - 1, k + 2)])
+        fine_idx = np.arange(lo, hi + 1)
+        fine = _eig_delta(sys, times[fine_idx])
     if fine is None:
-        return compute_metrics(simulate_response(sys, horizon, step))
+        # near-defective eigenbasis: RK4 supplies every sample; coarse[-1]
+        # stays the horizon sample on either path
+        coarse = fine = simulate_response(sys, horizon, step).delta_pu
+        fine_idx = np.arange(nsteps + 1)
     i_fine = int(np.argmin(fine))
     i_min = int(fine_idx[i_fine])
 
@@ -495,20 +448,6 @@ def compute_metrics(trace: FrequencyTrace) -> FrequencyMetrics:
         qss_dev_hz=f0 * abs(float(delta[-1])),
         time_of_nadir_s=float(times[i_min]),
     )
-
-
-def analytic_qss(mix: OnlineMix) -> float:
-    """Final-value-theorem QSS deviation in Hz: f0 dPe / (K^D + sum S/R)."""
-    if mix.contingency_mw == 0:
-        return 0.0
-    gain = mix.load_damping_mw_per_pu + sum(
-        mix.tech(cls).gain() for cls in GOVERNOR_CLASSES
-    )
-    if gain <= 0:
-        raise ZeroDivisionError(
-            "no steady-state frequency response: K^D and all governor gains are zero"
-        )
-    return mix.nominal_freq_hz * mix.contingency_mw / gain
 
 
 def check_compliance(metrics: FrequencyMetrics, limits: FrequencyLimits) -> ComplianceReport:

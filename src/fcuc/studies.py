@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .boundary import bisect_min_capacity
+from .boundary import BISECT_TOL_MW, find_edge_points, require_edges
+from .boundary import bisect_min_capacity  # noqa: F401  bench/spans.py wraps it here by name
 from .dynamics import (
     DEFAULT_DROOP,
     DEFAULT_INERTIA_H,
@@ -105,24 +106,26 @@ def equivalence_study(
     tech_a: TechClass,
     tech_b: TechClass,
     context: OnlineMix | None = None,
-    tol_mw: float = 1.0,
+    tol_mw: float = BISECT_TOL_MW,
 ) -> EquivalenceResult:
     """Per-MW nadir-effect ratio: how many MW of tech_b match 1 MW of tech_a,
     measured as the ratio of bisected minimum stand-alone capacities in a
     fixed context.
     """
     ctx = context if context is not None else study_context(s)
-    ctx = ctx.with_capacities({tech_a: 0.0, tech_b: 0.0})
-    res_a = bisect_min_capacity(tech_a, ctx, s.limits, 0.0, STUDY_HI_MW, tol_mw)
-    res_b = bisect_min_capacity(tech_b, ctx, s.limits, 0.0, STUDY_HI_MW, tol_mw)
-    if res_a.capacity_mw <= 0:
+    axes = (tech_a, tech_b)
+    edges = require_edges(
+        find_edge_points(axes, ctx, s.limits, STUDY_HI_MW, tol_mw), axes, STUDY_HI_MW
+    )
+    edge_a, edge_b = edges[tech_a], edges[tech_b]
+    if edge_a <= 0:
         raise ValueError(f"{tech_a.value}: degenerate zero edge point")
     return EquivalenceResult(
         tech_a=tech_a,
         tech_b=tech_b,
-        edge_a_mw=res_a.capacity_mw,
-        edge_b_mw=res_b.capacity_mw,
-        ratio_b_per_a=res_b.capacity_mw / res_a.capacity_mw,
+        edge_a_mw=edge_a,
+        edge_b_mw=edge_b,
+        ratio_b_per_a=edge_b / edge_a,
     )
 
 
@@ -130,7 +133,7 @@ def gfm_sensitivity(
     s: SystemScenario,
     time_constants_s: tuple[float, ...] = (0.02, 0.1, 1.0),
     context: OnlineMix | None = None,
-    tol_mw: float = 1.0,
+    tol_mw: float = BISECT_TOL_MW,
 ) -> list[tuple[float, EquivalenceResult]]:
     """GFM-vs-SC equivalence re-evaluated for each inverter response lag."""
     if any(tc <= 0 for tc in time_constants_s):

@@ -64,7 +64,6 @@ class BuildOptions:
     include_qss: bool = True
     nadir_cuts: tuple[tuple[int, NadirCut], ...] = ()
     uniform_reserve_mw: float | None = None
-    inertia_floor_mws: float | None = None
 
 
 @dataclass
@@ -261,13 +260,10 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
         for g in committed:
             coeffs[p.col(_n("u", g.id, t))] = -2.0 * g.inertia_h_s * g.pmax_mw
         p.add_row(f"inertia_{t}", coeffs, EQ, const_inertia)
-        floor = 0.0
         if opts.include_rocof:
             floor = s.contingency_mw * s.nominal_freq_hz / s.limits.rocof_limit_hz_s
-        if opts.inertia_floor_mws is not None:
-            floor = max(floor, opts.inertia_floor_mws)
-        if floor > 0:
-            p.add_row(f"rocof_{t}", {p.col(f"m_{t}"): 1.0}, GE, floor)
+            if floor > 0:
+                p.add_row(f"rocof_{t}", {p.col(f"m_{t}"): 1.0}, GE, floor)
 
     for hour, cut in opts.nadir_cuts:
         add_nadir_cut(p, s, cut, hour)
@@ -535,8 +531,6 @@ def check_feasibility(
             floor = s.contingency_mw * s.nominal_freq_hz / s.limits.rocof_limit_hz_s
             if sol.inertia_mws[t] < floor - tol:
                 flag("rocof", "system", t, floor - sol.inertia_mws[t])
-        if opts.inertia_floor_mws is not None and sol.inertia_mws[t] < opts.inertia_floor_mws - tol:
-            flag("inertia_floor", "system", t, opts.inertia_floor_mws - sol.inertia_mws[t])
 
     for hour, cut in opts.nadir_cuts:
         caps = {
@@ -592,7 +586,6 @@ def _mix(
         **{cls.value: _aggregate(entries[cls]) for cls in TechClass},
         load_damping_mw_per_pu=s.damping_at(hour),
         contingency_mw=s.contingency_mw,
-        base_power_mw=s.base_power_mw,
         nominal_freq_hz=s.nominal_freq_hz,
         dynamics=dyn,
     )

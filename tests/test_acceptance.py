@@ -24,10 +24,8 @@ from fcuc.boundary import SweepAxis, SweepSpec, find_edge_points, fit_hyperplane
 from fcuc.drivers import audit_report, run_industry, run_proposed
 from fcuc.dynamics import (
     TechClass,
-    analytic_qss,
     assemble_state_space,
     compute_metrics,
-    make_mix,
     response_metrics,
     simulate_response,
 )
@@ -36,6 +34,7 @@ from fcuc.scenario import FrequencyLimits
 from fcuc.solver import solve_milp
 from fcuc.studies import gfm_sensitivity, npv_analysis, study_context
 from fcuc.ucmodel import build_fcuc
+from oracles import analytic_qss, make_mix
 
 
 def _random_mix(rng: random.Random):

@@ -14,10 +14,12 @@ from fcuc.boundary import (
     find_edge_points,
     fit_hyperplane,
     make_conservative,
+    require_edges,
     sweep_grid,
 )
-from fcuc.dynamics import TechClass, make_mix, response_metrics
+from fcuc.dynamics import TechClass, response_metrics
 from fcuc.scenario import FrequencyLimits
+from oracles import make_mix
 
 LIMITS = FrequencyLimits(2.0, 49.3, 0.8)
 
@@ -164,6 +166,18 @@ def test_edge_points_zero_other_axes():
         6000.0,
     )
     assert edges[TechClass.COMBINED_CYCLE] == pytest.approx(solo.capacity_mw)
+
+
+def test_edge_points_leave_out_an_axis_that_cannot_comply_alone():
+    # condensers add inertia but no governor power, so they never arrest the
+    # nadir on their own; run-of-river keeps the zeroed context's inertia
+    ctx = _context().with_capacity(TechClass.RUN_OF_RIVER, 100.0)
+    axes = [TechClass.COMBINED_CYCLE, TechClass.CONDENSER]
+    edges = find_edge_points(axes, ctx, LIMITS, hi_mw=6000.0)
+    assert list(edges) == [TechClass.COMBINED_CYCLE]
+    assert require_edges(edges, axes[:1], 6000.0) is edges
+    with pytest.raises(BracketingError, match="condenser"):
+        require_edges(edges, axes, 6000.0)
 
 
 def test_fit_hyperplane_intercept_form():

@@ -8,9 +8,11 @@ import pytest
 import fcuc.drivers
 from conftest import desk_scenario
 from fcuc.cli import EXIT_SOLVER_LIMIT, main
+from fcuc.dynamics import check_compliance, response_metrics
 from fcuc.mps import parse_mps
 from fcuc.scenario import load_scenario, save_scenario
 from fcuc.solver import MilpResult
+from fcuc.ucmodel import COMMITTED_CLASSES, fleet_capacity_mw, fleet_mix
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +41,15 @@ def test_simulate(desk_path, capsys, tmp_path):
     assert rc == 0
     assert "nadir_hz" in out and "compliant" in out
     assert trace.exists() and trace.read_text().startswith("time_s")
+    # the printed metrics are the ones the loop decides on
+    s = desk_scenario()
+    mix = fleet_mix(s, 12).with_capacities({c: fleet_capacity_mw(s, c) for c in COMMITTED_CLASSES})
+    met = response_metrics(mix)
+    printed = dict(line.split("\t") for line in out.splitlines())
+    for name in ("nadir_hz", "initial_rocof_hz_s", "qss_dev_hz"):
+        assert printed[name] == f"{getattr(met, name):.4f}"
+    assert printed["time_of_nadir_s"] == f"{met.time_of_nadir_s:.3f}"
+    assert printed["compliant"] == str(check_compliance(met, s.limits).passed)
 
 
 def test_simulate_override_changes_metrics(desk_path, capsys):
@@ -69,6 +80,15 @@ def test_boundary(desk_path, capsys, tmp_path):
     assert len(lines) == 1 + 7  # inclusive lattice 0..1200 step 200
     doc = json.loads(cut.read_text())
     assert doc["coeffs"] and doc["intercept"] > 0
+
+
+def test_boundary_axis_that_cannot_comply_alone_exit_3(desk_path, capsys):
+    rc = main([
+        "boundary", "--scenario", desk_path,
+        "--axis", "combined_cycle:0:1200:200", "--axis", "condenser:0:1200:200",
+    ])
+    assert rc == 3
+    assert "condenser" in capsys.readouterr().err
 
 
 def test_boundary_bad_axis_format(desk_path, capsys):

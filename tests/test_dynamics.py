@@ -7,22 +7,22 @@ import time
 import numpy as np
 import pytest
 
+import fcuc.dynamics
 from fcuc.dynamics import (
     DEFAULT_INERTIA_H,
     GOVERNOR_CLASSES,
     DynamicParams,
     TechClass,
     ZeroInertiaError,
-    analytic_qss,
     assemble_state_space,
     check_compliance,
     compute_metrics,
     export_trace,
-    make_mix,
     response_metrics,
     simulate_response,
 )
 from fcuc.scenario import FrequencyLimits
+from oracles import analytic_qss, make_mix
 
 
 def _random_mix(rng: random.Random, classes=None, **kwargs):
@@ -67,6 +67,29 @@ def test_integrator_matches_modal_solution():
         met_trace = compute_metrics(trace)
         assert met_fast.nadir_hz == pytest.approx(met_trace.nadir_hz, abs=1e-9)
         assert met_fast.time_of_nadir_s == pytest.approx(met_trace.time_of_nadir_s, abs=1e-9)
+
+
+def test_rk4_fallback_reports_the_modal_qss_and_nadir(monkeypatch):
+    # with the eigenbasis refused, RK4 supplies the samples; RoCoF and the
+    # QSS asymptote must not depend on which path produced them
+    rng = random.Random(17)
+    mixes = [_random_mix(rng) for _ in range(3)]
+    modal = [response_metrics(mix) for mix in mixes]
+    rk4_calls = []
+    rk4 = fcuc.dynamics.simulate_response
+
+    def counted_rk4(*args):
+        rk4_calls.append(args)
+        return rk4(*args)
+
+    monkeypatch.setattr(fcuc.dynamics, "_eig_delta", lambda sys, times: None)
+    monkeypatch.setattr(fcuc.dynamics, "simulate_response", counted_rk4)
+    for mix, ref in zip(mixes, modal):
+        met = response_metrics(mix)
+        assert met.qss_dev_hz == pytest.approx(ref.qss_dev_hz, abs=1e-12)
+        assert met.nadir_hz == pytest.approx(ref.nadir_hz, abs=1e-6)
+        assert met.initial_rocof_hz_s == ref.initial_rocof_hz_s
+    assert len(rk4_calls) == len(mixes)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import pytest
 from conftest import tiny_scenario
 from fcuc.milp import GE, LE, MilpProblem
 from fcuc.scenario import load_scenario
-from fcuc.solver import brute_force_milp, solve_milp
+from fcuc.solver import solve_milp
 from fcuc.ucmodel import build_fcuc
+from oracles import brute_force_milp
 
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "example_scenario.json"
 
