@@ -21,6 +21,7 @@ from .dynamics import (
     assemble_state_space,
     simulate_response,
     response_metrics,
+    response_metrics_batch,
     compute_metrics,
     check_compliance,
 )

@@ -2,9 +2,10 @@
 
 Grid sweeps of the dynamic model classify online-capacity combinations as
 pass/fail against the nadir requirement; bisection finds the minimum
-stand-alone capacity per technology (edge points); the hyperplane through
-the edge points becomes a linear cut, tightened until no failing lattice
-point satisfies it.
+stand-alone capacity per technology (edge points), every axis in
+lockstep; the hyperplane through the edge points becomes a linear cut,
+tightened until no failing lattice point satisfies it. Each lattice and
+each bisection step is one batch of the modal kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OnlineMix, TechClass, response_metrics
+from .dynamics import OnlineMix, TechClass, response_metrics_batch
+from .dynamics import response_metrics  # noqa: F401  bench/spans.py wraps it here by name
 from .scenario import FrequencyLimits
 
 __all__ = [
@@ -123,28 +125,70 @@ class BisectionResult:
     status: str  # "bracketed" | "already_feasible"
 
 
-def _nadir_passes(mix: OnlineMix, limits: FrequencyLimits) -> tuple[bool, float]:
-    met = response_metrics(mix)
-    return met.nadir_hz >= limits.nadir_min_hz, met.nadir_hz
+def _nadirs(mixes: list[OnlineMix]) -> np.ndarray:
+    """Nadir of every mix, evaluated as one batch."""
+    return np.array([met.nadir_hz for met in response_metrics_batch(mixes)])
 
 
 def sweep_grid(spec: SweepSpec) -> ComplianceGrid:
-    """Evaluate nadir compliance at every lattice point of the spec."""
+    """Evaluate nadir compliance at every lattice point of the spec, as one batch."""
     axis_values = tuple(a.values() for a in spec.axes)
-    shape = tuple(len(v) for v in axis_values)
-    passed = np.zeros(shape, dtype=bool)
-    nadir = np.zeros(shape)
-    for idx in itertools.product(*(range(n) for n in shape)):
-        caps = {
-            spec.axes[k].tech: float(axis_values[k][i]) for k, i in enumerate(idx)
-        }
-        mix = spec.context.with_capacities(caps)
-        ok, nd = _nadir_passes(mix, spec.limits)
-        passed[idx] = ok
-        nadir[idx] = nd
+    techs = [a.tech for a in spec.axes]
+    mixes = [
+        spec.context.with_capacities(dict(zip(techs, map(float, caps))))
+        for caps in itertools.product(*axis_values)
+    ]
+    nadir = _nadirs(mixes).reshape(tuple(len(v) for v in axis_values))
     return ComplianceGrid(
-        axes=spec.axes, axis_values=axis_values, passed=passed, nadir_hz=nadir
+        axes=spec.axes,
+        axis_values=axis_values,
+        passed=nadir >= spec.limits.nadir_min_hz,
+        nadir_hz=nadir,
     )
+
+
+def _bisect_axes(
+    techs: tuple[TechClass, ...] | list[TechClass],
+    context: OnlineMix,
+    limits: FrequencyLimits,
+    lo_mw: float,
+    hi_mw: float,
+    tol_mw: float,
+) -> dict[TechClass, BisectionResult | None]:
+    """Bisect every axis on [lo_mw, hi_mw] in lockstep, the other
+    capacities as in context: one batch for the window ends, then one batch
+    of midpoints per halving. None marks an axis whose window does not
+    bracket the nadir boundary. Relies on pass-region monotonicity.
+    """
+    if tol_mw <= 0:
+        raise ValueError("tol_mw must be > 0")
+    if not techs:
+        return {}
+    # the lower ends are one mix when the context already holds every axis at lo_mw
+    shared_lo = all(context.tech(t).online_mw == lo_mw for t in techs)
+    lows = [context] if shared_lo else [context.with_capacity(t, lo_mw) for t in techs]
+    highs = [context.with_capacity(t, hi_mw) for t in techs]
+    ends = _nadirs([*lows, *highs]) >= limits.nadir_min_hz
+    lo_ok, hi_ok = ends[:len(lows)], ends[len(lows):]
+    if shared_lo:
+        lo_ok = lo_ok.repeat(len(techs))
+    found: dict[TechClass, BisectionResult | None] = {}
+    windows: dict[TechClass, list[float]] = {}
+    for tech, lo_pass, hi_pass in zip(techs, lo_ok, hi_ok):
+        if lo_pass and hi_pass:
+            found[tech] = BisectionResult(lo_mw, "already_feasible")
+        elif not hi_pass:
+            found[tech] = None
+        else:
+            windows[tech] = [lo_mw, hi_mw]
+    while active := [t for t, (lo, hi) in windows.items() if hi - lo > tol_mw]:
+        mids = [0.5 * (windows[t][0] + windows[t][1]) for t in active]
+        mixes = [context.with_capacity(t, mid) for t, mid in zip(active, mids)]
+        passed = _nadirs(mixes) >= limits.nadir_min_hz
+        for tech, mid, ok in zip(active, mids, passed):
+            windows[tech][1 if ok else 0] = mid
+    found.update((t, BisectionResult(hi, "bracketed")) for t, (_, hi) in windows.items())
+    return {t: found[t] for t in techs}
 
 
 def bisect_min_capacity(
@@ -158,24 +202,12 @@ def bisect_min_capacity(
     """Smallest online capacity of `tech` (others as in context) passing the
     nadir requirement, to within tol_mw. Relies on pass-region monotonicity.
     """
-    if tol_mw <= 0:
-        raise ValueError("tol_mw must be > 0")
-    lo_ok, _ = _nadir_passes(context.with_capacity(tech, lo_mw), limits)
-    hi_ok, _ = _nadir_passes(context.with_capacity(tech, hi_mw), limits)
-    if lo_ok and hi_ok:
-        return BisectionResult(lo_mw, "already_feasible")
-    if not hi_ok:
+    result = _bisect_axes([tech], context, limits, lo_mw, hi_mw, tol_mw)[tech]
+    if result is None:
         raise BracketingError(
             f"{tech.value}: nadir requirement infeasible on window [{lo_mw}, {hi_mw}] MW"
         )
-    while hi_mw - lo_mw > tol_mw:
-        mid = 0.5 * (lo_mw + hi_mw)
-        ok, _ = _nadir_passes(context.with_capacity(tech, mid), limits)
-        if ok:
-            hi_mw = mid
-        else:
-            lo_mw = mid
-    return BisectionResult(hi_mw, "bracketed")
+    return result
 
 
 def find_edge_points(
@@ -186,18 +218,13 @@ def find_edge_points(
     tol_mw: float = BISECT_TOL_MW,
 ) -> dict[TechClass, float]:
     """One edge point per axis: the bisected minimum capacity of that
-    technology with every swept technology at zero. An axis that cannot
-    comply alone within [0, hi_mw] is left out; one that already complies
-    at zero gets edge 0.0.
+    technology with every swept technology at zero, all axes bisected in
+    lockstep. An axis that cannot comply alone within [0, hi_mw] is left
+    out; one that already complies at zero gets edge 0.0.
     """
     base = context.with_capacities({t: 0.0 for t in axes})
-    edges: dict[TechClass, float] = {}
-    for tech in axes:
-        try:
-            edges[tech] = bisect_min_capacity(tech, base, limits, 0.0, hi_mw, tol_mw).capacity_mw
-        except BracketingError:
-            continue
-    return edges
+    found = _bisect_axes(axes, base, limits, 0.0, hi_mw, tol_mw)
+    return {t: r.capacity_mw for t, r in found.items() if r is not None}
 
 
 def require_edges(

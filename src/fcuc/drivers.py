@@ -24,7 +24,8 @@ from .boundary import (
     make_conservative,
     sweep_grid,
 )
-from .dynamics import FrequencyMetrics, TechClass, check_compliance, response_metrics
+from .dynamics import FrequencyMetrics, TechClass, check_compliance, response_metrics_batch
+from .dynamics import response_metrics  # noqa: F401  bench/spans.py wraps it here by name
 from .scenario import SystemScenario, Violation
 from .solver import solve_milp
 from .ucmodel import (
@@ -89,13 +90,11 @@ def _hourly_committed(s: SystemScenario, sol: UcSolution) -> dict[str, dict[int,
 
 
 def _simulate_all_hours(s: SystemScenario, sol: UcSolution):
-    metrics: dict[int, FrequencyMetrics] = {}
+    hours = range(1, s.periods + 1)
+    metrics = dict(zip(hours, response_metrics_batch([online_mix(s, sol, t) for t in hours])))
     failing_nadir: list[int] = []
     all_ok = True
-    for t in range(1, s.periods + 1):
-        mix = online_mix(s, sol, t)
-        met = response_metrics(mix)
-        metrics[t] = met
+    for t, met in metrics.items():
         rep = check_compliance(met, s.limits)
         if not rep.passed:
             all_ok = False

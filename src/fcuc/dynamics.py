@@ -1,5 +1,6 @@
-"""Center-of-inertia frequency dynamics: state-space assembly, integration,
-and metric extraction.
+"""Center-of-inertia frequency dynamics: state-space assembly, RK4
+integration, and metric extraction by one batched modal kernel
+(response_metrics_batch; response_metrics is a batch of one).
 
 The model aggregates every frequency-responsive technology into one swing
 equation. Governor paths:
@@ -16,8 +17,10 @@ All frequency deviations are per-unit (delta = df / f0); powers are MW.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,6 +39,7 @@ __all__ = [
     "assemble_state_space",
     "simulate_response",
     "response_metrics",
+    "response_metrics_batch",
     "compute_metrics",
     "check_compliance",
 ]
@@ -74,6 +78,9 @@ DEFAULT_INERTIA_H = {
     TechClass.RUN_OF_RIVER: 3.0,
     TechClass.CONDENSER: 3.0,
 }
+
+
+_STATES = attrgetter(*(c.value for c in TechClass))  # OnlineMix fields, in TechClass order
 
 
 class ZeroInertiaError(ValueError):
@@ -120,13 +127,17 @@ class OnlineMix:
             mix = mix.with_capacity(cls, mw)
         return mix
 
+    def states(self) -> tuple[TechState, ...]:
+        """Every class's state, in TechClass order."""
+        return _STATES(self)
+
     @property
     def system_inertia_mws(self) -> float:
-        return sum(2.0 * self.tech(c).inertia_h_s * self.tech(c).online_mw for c in TechClass)
+        return sum(2.0 * s.inertia_h_s * s.online_mw for s in self.states())
 
     def validate(self) -> None:
-        for cls in TechClass:
-            if self.tech(cls).online_mw < 0:
+        for cls, state in zip(TechClass, self.states()):
+            if state.online_mw < 0:
                 raise ValueError(f"{cls.value}: online capacity must be >= 0")
         if self.contingency_mw > 0 and self.system_inertia_mws <= 0:
             raise ZeroInertiaError(
@@ -184,95 +195,111 @@ class ComplianceReport:
 # ---------------------------------------------------------------------------
 # assembly
 
-def assemble_state_space(mix: OnlineMix) -> LinearSystem:
-    """Build the aggregate swing + governor model for one online mix.
+@dataclass(frozen=True)
+class _Systems:
+    """The state-space models of a stack of mixes, one per leading index."""
+
+    a: np.ndarray  # (n, 8, 8)
+    b: np.ndarray  # (n, 8); only the swing row is non-zero
+    mech: np.ndarray  # (n, 4, 8) MW mechanical power rows, GOVERNOR_CLASSES order
+    inertia_mws: np.ndarray  # (n,)
+    contingency_mw: np.ndarray
+    nominal_freq_hz: np.ndarray
+
+    def system(self, i: int) -> LinearSystem:
+        c = np.zeros(self.a.shape[-1])
+        c[0] = 1.0
+        return LinearSystem(
+            a=self.a[i],
+            b=self.b[i],
+            c_freq=c,
+            mech_rows={cls: self.mech[i, k] for k, cls in enumerate(GOVERNOR_CLASSES)},
+            inertia_mws=float(self.inertia_mws[i]),
+            contingency_mw=float(self.contingency_mw[i]),
+            nominal_freq_hz=float(self.nominal_freq_hz[i]),
+        )
+
+
+def _assemble(mixes: Sequence[OnlineMix]) -> _Systems:
+    """Build the aggregate swing + governor model of every mix of a stack.
 
     State order: delta, steam governor, steam chest, steam reheat, CC lag,
     hydro governor, hydro water column, GFM lag. Governor states are per-unit
     on their class capacity; the swing row scales them to MW.
     """
-    mix.validate()
-    dyn = mix.dynamics
-    n = 8  # states, in the order above
-    a = np.zeros((n, n))
-    b = np.zeros(n)
+    n = len(mixes)
+    a = np.zeros((n, 8, 8))
+    mech = np.zeros((n, len(GOVERNOR_CLASSES), 8))
+    m = np.empty(n)
+    damping, contingency, f0 = np.array(
+        [(x.load_damping_mw_per_pu, x.contingency_mw, x.nominal_freq_hz) for x in mixes]
+    ).reshape(n, 3).T
+    for i, mix in enumerate(mixes):
+        mix.validate()
+        m[i] = mix.system_inertia_mws
+        steam, cc, hydro, gfm = mix.states()[:len(GOVERNOR_CLASSES)]
+        dyn = mix.dynamics
+        ai, mi = a[i], mech[i]
 
-    m = mix.system_inertia_mws
-    d_idx = 0
+        # steam: gov lag -> chest -> reheat lead-lag (F_HP + (1-F_HP)/(1+T_RH s))
+        rs = steam.droop if steam.droop > 0 else math.inf
+        ai[1, 0] = -1.0 / (rs * dyn.steam_governor_s)
+        ai[1, 1] = -1.0 / dyn.steam_governor_s
+        ai[2, 1] = 1.0 / dyn.steam_chest_s
+        ai[2, 2] = -1.0 / dyn.steam_chest_s
+        ai[3, 2] = 1.0 / dyn.steam_reheat_s
+        ai[3, 3] = -1.0 / dyn.steam_reheat_s
+        mi[0, 2] = dyn.steam_hp_fraction * steam.online_mw
+        mi[0, 3] = (1.0 - dyn.steam_hp_fraction) * steam.online_mw
 
-    # steam: gov lag -> chest -> reheat lead-lag (F_HP + (1-F_HP)/(1+T_RH s))
-    rs = mix.steam.droop if mix.steam.droop > 0 else math.inf
-    a[1, d_idx] = -1.0 / (rs * dyn.steam_governor_s)
-    a[1, 1] = -1.0 / dyn.steam_governor_s
-    a[2, 1] = 1.0 / dyn.steam_chest_s
-    a[2, 2] = -1.0 / dyn.steam_chest_s
-    a[3, 2] = 1.0 / dyn.steam_reheat_s
-    a[3, 3] = -1.0 / dyn.steam_reheat_s
-    steam_row = np.zeros(n)
-    steam_row[2] = dyn.steam_hp_fraction
-    steam_row[3] = 1.0 - dyn.steam_hp_fraction
-    steam_row *= mix.steam.online_mw
+        # combined cycle: single lag
+        rc = cc.droop if cc.droop > 0 else math.inf
+        ai[4, 0] = -1.0 / (rc * dyn.cc_lag_s)
+        ai[4, 4] = -1.0 / dyn.cc_lag_s
+        mi[1, 4] = cc.online_mw
 
-    # combined cycle: single lag
-    rc = mix.combined_cycle.droop if mix.combined_cycle.droop > 0 else math.inf
-    a[4, d_idx] = -1.0 / (rc * dyn.cc_lag_s)
-    a[4, 4] = -1.0 / dyn.cc_lag_s
-    cc_row = np.zeros(n)
-    cc_row[4] = mix.combined_cycle.online_mw
+        # hydro: transient-droop governor (lead-lag, DC gain 1/R, HF gain 1/R_T)
+        # followed by the non-minimum-phase water column (1 - T_w s)/(1 + T_w s / 2)
+        rh = hydro.droop if hydro.droop > 0 else math.inf
+        tau_h = (dyn.hydro_transient_droop / hydro.droop) * dyn.hydro_reset_s \
+            if hydro.droop > 0 else dyn.hydro_reset_s
+        alpha = dyn.hydro_reset_s / tau_h  # lead/lag ratio = R_h / R_T
+        ai[5, 0] = -1.0 / tau_h
+        ai[5, 5] = -1.0 / tau_h
+        # governor output g = (1/R_h) * (alpha * (-delta) + (1 - alpha) * x_gov)
+        g_delta = -alpha / rh
+        g_gov = (1.0 - alpha) / rh
+        half_tw = 0.5 * dyn.hydro_water_s
+        ai[6, 0] = g_delta / half_tw
+        ai[6, 5] = g_gov / half_tw
+        ai[6, 6] = -1.0 / half_tw
+        # water column output y = -2 g + 3 x_w
+        mi[2, 0] = -2.0 * g_delta * hydro.online_mw
+        mi[2, 5] = -2.0 * g_gov * hydro.online_mw
+        mi[2, 6] = 3.0 * hydro.online_mw
 
-    # hydro: transient-droop governor (lead-lag, DC gain 1/R, HF gain 1/R_T)
-    # followed by the non-minimum-phase water column (1 - T_w s)/(1 + T_w s / 2)
-    rh = mix.hydro_reservoir.droop if mix.hydro_reservoir.droop > 0 else math.inf
-    tau_h = (dyn.hydro_transient_droop / mix.hydro_reservoir.droop) * dyn.hydro_reset_s \
-        if mix.hydro_reservoir.droop > 0 else dyn.hydro_reset_s
-    alpha = dyn.hydro_reset_s / tau_h  # lead/lag ratio = R_h / R_T
-    a[5, d_idx] = -1.0 / tau_h
-    a[5, 5] = -1.0 / tau_h
-    # governor output g = (1/R_h) * (alpha * (-delta) + (1 - alpha) * x_gov)
-    g_row = np.zeros(n)
-    g_row[d_idx] = -alpha / rh
-    g_row[5] = (1.0 - alpha) / rh
-    half_tw = 0.5 * dyn.hydro_water_s
-    a[6, :] += g_row / half_tw
-    a[6, 6] += -1.0 / half_tw
-    # water column output y = -2 g + 3 x_w
-    hydro_row = -2.0 * g_row
-    hydro_row[6] += 3.0
-    hydro_row *= mix.hydro_reservoir.online_mw
-
-    # gfm vsm: droop through a fast lag
-    rg = mix.gfm.droop if mix.gfm.droop > 0 else math.inf
-    a[7, d_idx] = -1.0 / (rg * dyn.gfm_lag_s)
-    a[7, 7] = -1.0 / dyn.gfm_lag_s
-    gfm_row = np.zeros(n)
-    gfm_row[7] = mix.gfm.online_mw
+        # gfm vsm: droop through a fast lag
+        rg = gfm.droop if gfm.droop > 0 else math.inf
+        ai[7, 0] = -1.0 / (rg * dyn.gfm_lag_s)
+        ai[7, 7] = -1.0 / dyn.gfm_lag_s
+        mi[3, 7] = gfm.online_mw
 
     # swing equation: m delta' = sum(mech MW) - dPe - K^D delta
-    if m > 0:
-        swing = steam_row + cc_row + hydro_row + gfm_row
-        swing[d_idx] += -mix.load_damping_mw_per_pu
-        a[d_idx, :] = swing / m
-        b[d_idx] = -mix.contingency_mw / m
-    # m == 0 only allowed with zero contingency (validate() rejects otherwise):
-    # the response is identically zero and A's first row stays zero.
+    swing = mech[:, 0] + mech[:, 1] + mech[:, 2] + mech[:, 3]
+    swing[:, 0] += -damping
+    # m == 0 only with zero contingency (validate()): the response is
+    # identically zero and A's first row stays zero
+    disturbed = m > 0
+    m_safe = np.where(disturbed, m, 1.0)
+    a[:, 0, :] = np.where(disturbed[:, None], swing / m_safe[:, None], 0.0)
+    b = np.zeros((n, 8))
+    b[:, 0] = np.where(disturbed, -contingency / m_safe, 0.0)
+    return _Systems(a, b, mech, m, contingency, f0)
 
-    c = np.zeros(n)
-    c[d_idx] = 1.0
 
-    return LinearSystem(
-        a=a,
-        b=b,
-        c_freq=c,
-        mech_rows={
-            TechClass.STEAM: steam_row,
-            TechClass.COMBINED_CYCLE: cc_row,
-            TechClass.HYDRO_RESERVOIR: hydro_row,
-            TechClass.GFM: gfm_row,
-        },
-        inertia_mws=m,
-        contingency_mw=mix.contingency_mw,
-        nominal_freq_hz=mix.nominal_freq_hz,
-    )
+def assemble_state_space(mix: OnlineMix) -> LinearSystem:
+    """The aggregate swing + governor model of one online mix (see _assemble)."""
+    return _assemble([mix]).system(0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,91 +365,180 @@ def simulate_response(
     )
 
 
-def _eig_delta(sys: LinearSystem, times: np.ndarray) -> np.ndarray | None:
-    """Exact step-response frequency deviation via eigendecomposition.
+# ---------------------------------------------------------------------------
+# batched modal kernel
 
-    Returns None when A is near-defective; callers fall back to RK4.
+#: mixes per stacked evaluation; it bounds the kernel's temporaries (about
+#: 1.2 MB at the peak of a 343-mix batch)
+CHUNK_MIXES = 32
+
+
+def _eigenbasis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues (n, 8) and eigenvectors (n, 8, 8) of each A of a stack,
+    and which of them the modal solution may use. A near-defective A
+    (eigenvector condition number above 1e10, or no decomposition) is
+    refused; its mix falls back to RK4.
     """
-    a = sys.a
     try:
         lam, v = np.linalg.eig(a)
         cond = np.linalg.cond(v)
     except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(cond) or cond > 1e10:
-        return None
-    w = np.linalg.solve(v, sys.b.astype(complex))
-    # x(t) = V diag(phi_i(t)) V^-1 b with phi_i(t) = (exp(lam t) - 1)/lam
-    lt = np.multiply.outer(times, lam)
-    lam_safe = np.where(np.abs(lam) > 1e-12, lam, 1.0)
-    phi = (np.exp(lt) - 1.0) / lam_safe
-    small = np.abs(lam) <= 1e-12
-    if np.any(small):
-        phi[:, small] = times[:, None]
-    ct = sys.c_freq.astype(complex) @ v  # row in eigen basis
-    delta = (phi * (ct * w)).sum(axis=1)
-    if not np.all(np.isfinite(delta)):
-        return None
-    return delta.real
+        if len(a) == 1:
+            n = a.shape[-1]
+            return np.zeros((1, n), complex), np.eye(n, dtype=complex)[None], np.zeros(1, bool)
+        # factor each A alone, so only the one that failed is refused
+        parts = [_eigenbasis(x[None]) for x in a]
+        return tuple(np.concatenate(p) for p in zip(*parts))  # type: ignore[return-value]
+    return lam.astype(complex), v.astype(complex), np.isfinite(cond) & (cond <= 1e10)
 
 
-def response_metrics(mix: OnlineMix) -> FrequencyMetrics:
-    """Metrics of the post-contingency response.
-
-    Nadir and its time come from the exact modal solution sampled on the same
-    grid as simulate_response, or from the RK4 trace itself when the
-    eigenbasis is ill-conditioned. RoCoF and the QSS deviation (the exact
-    asymptote, DC gain) are computed the same way on both paths.
+def _exp_tables(
+    lam: np.ndarray, start: np.ndarray, dt: float, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two short tables whose products give exp(lam (start + k dt)) for
+    k = B q + r < count, with B = ceil(sqrt(count)): exp(lam (start + B q dt)),
+    shape (n, Q, modes), and exp(lam r dt), shape (n, B, modes). That is
+    about 2 sqrt(count) complex exponentials per mode instead of count. B
+    depends on count alone, so a mix's samples do not depend on its chunk.
     """
-    horizon, step = mix.dynamics.horizon_s, mix.dynamics.step_s
-    sys = assemble_state_space(mix)
-    nsteps = int(round(horizon / step))
-    times = np.arange(nsteps + 1) * step
+    blk = math.isqrt(count - 1) + 1
+    rows = -(-count // blk)
+    outer = np.exp(lam[:, None, :] * (start[:, None] + blk * dt * np.arange(rows))[:, :, None])
+    inner = np.exp(lam[:, None, :] * (dt * np.arange(blk))[None, :, None])
+    return outer, inner
 
-    # Coarse pass over every ~50th sample of the 1 ms grid, then a fine pass
-    # on the full-resolution samples around the coarse minimum. The response
-    # is smooth (sum of a few modes), so the fine window always brackets the
-    # true sample-grid minimum and the result is identical to evaluating the
-    # whole grid, at a fraction of the cost.
+
+def _grid_delta(
+    lam: np.ndarray, gain: np.ndarray, ramp: np.ndarray, start: np.ndarray, dt: float, count: int
+) -> np.ndarray:
+    """delta(t) = Re sum_i gain_i (exp(lam_i t) - 1) + ramp t at t = start + k dt,
+    k < count, shape (n, count).
+
+    With exp(lam t) = outer_q inner_r, the sum over the modes is one real
+    matmul per mix: Re sum_i (gain_i outer_qi) inner_ri.
+    """
+    outer, inner = _exp_tables(lam, start, dt, count)
+    w = gain[:, None, :] * outer
+    grid = np.concatenate([w.real, -w.imag], axis=2) @ np.concatenate(
+        [inner.real, inner.imag], axis=2
+    ).transpose(0, 2, 1)
+    t = start[:, None] + dt * np.arange(count)
+    return grid.reshape(len(lam), -1)[:, :count] - gain.sum(axis=1).real[:, None] + ramp[:, None] * t
+
+
+def _nadir_search(
+    lam: np.ndarray, v: np.ndarray, b0: np.ndarray, nsteps: int, step: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sample-grid minimum of the modal step response of a chunk of mixes.
+
+    A coarse pass over every stride-th sample of the grid (stride ~ nsteps/600,
+    plus the horizon sample), then a fine pass over every sample within two
+    coarse samples of the coarse minimum. The response is smooth (a sum of a
+    few modes), so the fine window brackets the minimum of the whole grid.
+    Returns the minimum delta, its sample index, the horizon sample, and
+    whether every evaluated sample is finite.
+    """
+    n, k = lam.shape
+    # x(t) = V diag((exp(lam t) - 1)/lam) V^-1 b; delta is its first entry
+    rhs = np.zeros((n, k, 1), complex)
+    rhs[:, 0, 0] = b0
+    coef = v[:, 0, :] * np.linalg.solve(v, rhs)[..., 0]
+    zero = np.abs(lam) <= 1e-12  # (exp(lam t) - 1)/lam -> t
+    gain = np.where(zero, 0.0, coef / np.where(zero, 1.0, lam))
+    ramp = np.where(zero, coef, 0.0).sum(axis=1).real
+
     stride = max(1, nsteps // 600)
     coarse_idx = np.arange(0, nsteps + 1, stride)
-    if coarse_idx[-1] != nsteps:
+    coarse = _grid_delta(lam, gain, ramp, np.zeros(n), stride * step, len(coarse_idx))
+    if coarse_idx[-1] != nsteps:  # the horizon sample closes the coarse grid
         coarse_idx = np.append(coarse_idx, nsteps)
-    coarse = _eig_delta(sys, times[coarse_idx])
-    fine = None
-    if coarse is not None:
-        k = int(np.argmin(coarse))
-        lo = int(coarse_idx[max(0, k - 2)])
-        hi = int(coarse_idx[min(len(coarse_idx) - 1, k + 2)])
-        fine_idx = np.arange(lo, hi + 1)
-        fine = _eig_delta(sys, times[fine_idx])
-    if fine is None:
-        # near-defective eigenbasis: RK4 supplies every sample; coarse[-1]
-        # stays the horizon sample on either path
-        coarse = fine = simulate_response(sys, horizon, step).delta_pu
-        fine_idx = np.arange(nsteps + 1)
-    i_fine = int(np.argmin(fine))
-    i_min = int(fine_idx[i_fine])
+        tail = _grid_delta(lam, gain, ramp, np.full(n, nsteps * step), step, 1)
+        coarse = np.concatenate([coarse, tail], axis=1)
+    j = np.argmin(coarse, axis=1)
+    lo = coarse_idx[np.maximum(j - 2, 0)]
+    hi = coarse_idx[np.minimum(j + 2, len(coarse_idx) - 1)]
 
-    f0 = sys.nominal_freq_hz
-    nadir_hz = f0 + f0 * float(fine[i_fine])
+    # every window is padded to the widest possible one, 4 strides + 1
+    width = 4 * stride + 1
+    fine = _grid_delta(lam, gain, ramp, lo * step, step, width)
+    inside = lo[:, None] + np.arange(width) <= hi[:, None]
+    finite = np.isfinite(coarse).all(axis=1) & np.isfinite(np.where(inside, fine, 0.0)).all(axis=1)
+    i = np.argmin(np.where(inside, fine, np.inf), axis=1)
+    return fine[np.arange(n), i], lo + i, coarse[:, -1], finite
+
+
+def _qss_pu(a: np.ndarray, b: np.ndarray, horizon_pu: np.ndarray) -> np.ndarray:
+    """Asymptotic delta of each system, the DC gain -c A^-1 b; a singular A
+    (no asymptote) reports its horizon sample instead."""
+    try:
+        return np.linalg.solve(a, -b[..., None])[:, 0, 0]
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return horizon_pu
+        return np.concatenate(
+            [_qss_pu(a[i:i + 1], b[i:i + 1], horizon_pu[i:i + 1]) for i in range(len(a))]
+        )
+
+
+def _chunk_metrics(mixes: list[OnlineMix], horizon: float, step: float) -> list[FrequencyMetrics]:
+    """Metrics of a chunk of mixes that share the sample grid (horizon, step)."""
+    n = len(mixes)
+    systems = _assemble(mixes)
+    lam, v, modal = _eigenbasis(systems.a)
+    nadir_pu, nadir_s, horizon_pu = np.empty(n), np.empty(n), np.empty(n)
+    rows = np.flatnonzero(modal)
+    if rows.size:
+        nadir_pu[rows], k, horizon_pu[rows], modal[rows] = _nadir_search(
+            lam[rows], v[rows], systems.b[rows, 0], int(round(horizon / step)), step
+        )
+        nadir_s[rows] = k * step
+    for i in np.flatnonzero(~modal):
+        # near-defective eigenbasis: RK4 supplies every sample
+        delta = simulate_response(systems.system(i), horizon, step).delta_pu
+        j = int(np.argmin(delta))
+        nadir_pu[i], nadir_s[i], horizon_pu[i] = delta[j], j * step, delta[-1]
+    f0, m = systems.nominal_freq_hz, systems.inertia_mws
     # zero inertia is only valid with no disturbance (validate()), so then delta == 0
-    rocof = sys.contingency_mw * f0 / sys.inertia_mws if sys.inertia_mws > 0 else 0.0
+    rocof = np.divide(systems.contingency_mw * f0, m, out=np.zeros(n), where=m > 0)
     # The quasi-steady-state is the asymptote of the linear system, available
     # exactly as its DC gain; the slow hydro governor (reset stretched by
     # R_T/R) settles long after the nadir window, so the final sample of a
     # nadir-length trace would overstate it.
-    try:
-        x_ss = np.linalg.solve(sys.a, -sys.b)
-        qss_dev_hz = f0 * abs(float(sys.c_freq @ x_ss))
-    except np.linalg.LinAlgError:
-        qss_dev_hz = f0 * abs(float(coarse[-1]))
-    return FrequencyMetrics(
-        nadir_hz=nadir_hz,
-        initial_rocof_hz_s=rocof,
-        qss_dev_hz=qss_dev_hz,
-        time_of_nadir_s=float(times[i_min]),
-    )
+    qss = f0 * np.abs(_qss_pu(systems.a, systems.b, horizon_pu))
+    return [
+        FrequencyMetrics(nadir_hz=nd, initial_rocof_hz_s=rc, qss_dev_hz=qs, time_of_nadir_s=ts)
+        for nd, rc, qs, ts in zip(
+            (f0 + f0 * nadir_pu).tolist(), rocof.tolist(), qss.tolist(), nadir_s.tolist()
+        )
+    ]
+
+
+def response_metrics_batch(mixes: Sequence[OnlineMix]) -> list[FrequencyMetrics]:
+    """Metrics of the post-contingency response of every mix, in order.
+
+    Nadir and its time come from the exact modal solution sampled on the
+    same grid as simulate_response, evaluated for CHUNK_MIXES mixes at a
+    time, or from the RK4 trace itself for a mix whose eigenbasis is
+    ill-conditioned. RoCoF and the QSS deviation (the exact asymptote, DC
+    gain) are computed the same way on both paths. Each mix's metrics are
+    the same whatever batch it is evaluated in.
+    """
+    mixes = list(mixes)
+    grids: dict[tuple[float, float], list[int]] = {}
+    for i, mix in enumerate(mixes):
+        grids.setdefault((mix.dynamics.horizon_s, mix.dynamics.step_s), []).append(i)
+    out: list[FrequencyMetrics] = [None] * len(mixes)  # type: ignore[list-item]
+    for (horizon, step), members in grids.items():
+        for c in range(0, len(members), CHUNK_MIXES):
+            chunk = members[c:c + CHUNK_MIXES]
+            for i, met in zip(chunk, _chunk_metrics([mixes[i] for i in chunk], horizon, step)):
+                out[i] = met
+    return out
+
+
+def response_metrics(mix: OnlineMix) -> FrequencyMetrics:
+    """Metrics of the post-contingency response of one mix: a batch of one."""
+    return response_metrics_batch([mix])[0]
 
 
 def compute_metrics(trace: FrequencyTrace) -> FrequencyMetrics:

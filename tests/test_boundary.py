@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import fcuc.boundary
 from fcuc.boundary import (
     BracketingError,
     NadirCut,
@@ -166,6 +167,47 @@ def test_edge_points_zero_other_axes():
         6000.0,
     )
     assert edges[TechClass.COMBINED_CYCLE] == pytest.approx(solo.capacity_mw)
+
+
+def _serial_bisection(tech, context, lo, hi, tol):
+    """Reference: one response_metrics call per step, one axis at a time."""
+    def ok(mw):
+        met = response_metrics(context.with_capacity(tech, mw))
+        return met.nadir_hz >= LIMITS.nadir_min_hz
+
+    if ok(lo) and ok(hi):
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_edge_points_bisect_in_lockstep_from_one_base(monkeypatch):
+    ctx = _context().with_capacity(TechClass.STEAM, 700.0)
+    axes = [TechClass.STEAM, TechClass.COMBINED_CYCLE, TechClass.HYDRO_RESERVOIR]
+    base = ctx.with_capacities({t: 0.0 for t in axes})
+    batches = []
+    batch = fcuc.boundary.response_metrics_batch
+
+    def recorded(mixes):
+        batches.append(list(mixes))
+        return batch(mixes)
+
+    monkeypatch.setattr(fcuc.boundary, "response_metrics_batch", recorded)
+    edges = find_edge_points(axes, ctx, LIMITS, hi_mw=6000.0, tol_mw=1.0)
+    halvings, width = 0, 6000.0
+    while width > 1.0:
+        width, halvings = width / 2, halvings + 1
+    assert sum(mix == base for mixes in batches for mix in mixes) == 1
+    assert len(batches) <= 2 + halvings
+    assert all(len(mixes) <= len(axes) for mixes in batches[1:])
+    # every edge is bit-identical to the serial one-axis bisection
+    monkeypatch.undo()
+    assert edges == {t: _serial_bisection(t, base, 0.0, 6000.0, 1.0) for t in axes}
 
 
 def test_edge_points_leave_out_an_axis_that_cannot_comply_alone():

@@ -19,6 +19,7 @@ from fcuc.dynamics import (
     compute_metrics,
     export_trace,
     response_metrics,
+    response_metrics_batch,
     simulate_response,
 )
 from fcuc.scenario import FrequencyLimits
@@ -69,27 +70,61 @@ def test_integrator_matches_modal_solution():
         assert met_fast.time_of_nadir_s == pytest.approx(met_trace.time_of_nadir_s, abs=1e-9)
 
 
+def _refusing_eigenbasis(refuse):
+    """The batch's eigenbasis check, refusing also every A for which refuse(A) holds."""
+    usable = fcuc.dynamics._eigenbasis
+
+    def eigenbasis(a):
+        lam, v, ok = usable(a)
+        return lam, v, ok & ~np.array([refuse(x) for x in a], dtype=bool)
+
+    return eigenbasis
+
+
+def _counted_rk4(monkeypatch):
+    calls = []
+    rk4 = fcuc.dynamics.simulate_response
+
+    def counted_rk4(*args):
+        calls.append(args)
+        return rk4(*args)
+
+    monkeypatch.setattr(fcuc.dynamics, "simulate_response", counted_rk4)
+    return calls
+
+
 def test_rk4_fallback_reports_the_modal_qss_and_nadir(monkeypatch):
     # with the eigenbasis refused, RK4 supplies the samples; RoCoF and the
     # QSS asymptote must not depend on which path produced them
     rng = random.Random(17)
     mixes = [_random_mix(rng) for _ in range(3)]
     modal = [response_metrics(mix) for mix in mixes]
-    rk4_calls = []
-    rk4 = fcuc.dynamics.simulate_response
-
-    def counted_rk4(*args):
-        rk4_calls.append(args)
-        return rk4(*args)
-
-    monkeypatch.setattr(fcuc.dynamics, "_eig_delta", lambda sys, times: None)
-    monkeypatch.setattr(fcuc.dynamics, "simulate_response", counted_rk4)
+    monkeypatch.setattr(fcuc.dynamics, "_eigenbasis", _refusing_eigenbasis(lambda a: True))
+    rk4_calls = _counted_rk4(monkeypatch)
     for mix, ref in zip(mixes, modal):
         met = response_metrics(mix)
         assert met.qss_dev_hz == pytest.approx(ref.qss_dev_hz, abs=1e-12)
         assert met.nadir_hz == pytest.approx(ref.nadir_hz, abs=1e-6)
         assert met.initial_rocof_hz_s == ref.initial_rocof_hz_s
     assert len(rk4_calls) == len(mixes)
+
+
+def test_a_refused_mix_falls_back_alone(monkeypatch):
+    # one refused eigenbasis in a batch: that mix alone goes to RK4, and the
+    # others keep their batch-of-one results exactly
+    rng = random.Random(19)
+    mixes = [_random_mix(rng) for _ in range(5)]
+    alone = [response_metrics(mix) for mix in mixes]
+    refused = assemble_state_space(mixes[2]).a
+    monkeypatch.setattr(
+        fcuc.dynamics, "_eigenbasis", _refusing_eigenbasis(lambda a: np.array_equal(a, refused))
+    )
+    rk4_calls = _counted_rk4(monkeypatch)
+    batch = response_metrics_batch(mixes)
+    assert len(rk4_calls) == 1
+    assert batch[:2] + batch[3:] == alone[:2] + alone[3:]
+    assert batch[2].nadir_hz == pytest.approx(alone[2].nadir_hz, abs=1e-6)
+    assert batch[2].qss_dev_hz == alone[2].qss_dev_hz
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +199,12 @@ def test_zero_inertia_rejected():
 
 
 def test_zero_inertia_without_disturbance_has_flat_response():
-    met = response_metrics(
-        make_mix(capacities_mw={}, load_damping_mw_per_pu=500.0, contingency_mw=0.0)
-    )
+    flat = make_mix(capacities_mw={}, load_damping_mw_per_pu=500.0, contingency_mw=0.0)
+    met = response_metrics(flat)
     assert (met.initial_rocof_hz_s, met.nadir_hz, met.qss_dev_hz) == (0.0, 50.0, 0.0)
+    # its singular A leaves the other mixes of a batch as they are alone
+    other = _random_mix(random.Random(3))
+    assert response_metrics_batch([other, flat]) == [response_metrics(other), met]
 
 
 def test_higher_damping_raises_nadir():

@@ -1,0 +1,117 @@
+"""Property tests for the numerical shortcuts of the batched modal kernel,
+each against its slow path: batching and chunking against a batch of one,
+the coarse/fine nadir search against the whole 1 ms grid, the two-table
+exponential against np.exp. Also the damping monotonicity that a cut learned
+at a bucket's lowest damping would rely on, confirmed by RK4 on a sample."""
+
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fcuc.dynamics
+from fcuc.dynamics import (
+    TechClass,
+    assemble_state_space,
+    compute_metrics,
+    response_metrics,
+    response_metrics_batch,
+    simulate_response,
+)
+from oracles import make_mix
+
+#: the nadir accuracy the kernel keeps (criteria 2-5 compare nadirs to it)
+NADIR_TOL_HZ = 1e-12
+#: relative error of the two-table exponential; the phase lam * t alone is
+#: rounded to about |lam t| * 1.1e-16 <= 1e-13 on these grids
+EXP_RTOL = 1e-12
+
+
+@st.composite
+def mixes(draw):
+    """A mix of every class at 0 or 50-900 MW (condensers always online, so
+    the system has inertia), with the test suite's damping and contingency
+    ranges and default dynamic constants."""
+    caps = {c: draw(st.one_of(st.just(0.0), st.floats(50.0, 900.0))) for c in TechClass}
+    caps[TechClass.CONDENSER] = draw(st.floats(50.0, 900.0))
+    return make_mix(
+        capacities_mw=caps,
+        load_damping_mw_per_pu=draw(st.floats(200.0, 1500.0)),
+        contingency_mw=draw(st.floats(50.0, 300.0)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=st.lists(mixes(), min_size=1, max_size=10), rnd=st.randoms(), chunk=st.integers(1, 4))
+def test_batch_is_independent_of_order_and_chunks(batch, rnd, chunk):
+    alone = [response_metrics(mix) for mix in batch]
+    assert response_metrics_batch(batch) == alone
+    order = list(range(len(batch)))
+    rnd.shuffle(order)
+    assert response_metrics_batch([batch[i] for i in order]) == [alone[i] for i in order]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fcuc.dynamics, "CHUNK_MIXES", chunk)
+        assert response_metrics_batch(batch) == alone
+
+
+@settings(max_examples=40, deadline=None)
+@given(mix=mixes())
+def test_coarse_fine_search_finds_the_full_grid_minimum(mix):
+    # direct modal solution on every 1 ms sample, with np.exp
+    sys = assemble_state_space(mix)
+    lam, v = np.linalg.eig(sys.a)
+    coef = v[0] * np.linalg.solve(v, sys.b.astype(complex))
+    step = mix.dynamics.step_s
+    t = np.arange(int(round(mix.dynamics.horizon_s / step)) + 1) * step
+    f0 = mix.nominal_freq_hz
+    freq = f0 + f0 * (((np.exp(np.outer(t, lam)) - 1.0) / lam) @ coef).real
+    met = response_metrics(mix)
+    assert met.nadir_hz == pytest.approx(freq.min(), abs=NADIR_TOL_HZ)
+    # the reported time is a minimizer of the full grid, up to the same rounding
+    assert freq[int(round(met.time_of_nadir_s / step))] == pytest.approx(
+        freq.min(), abs=NADIR_TOL_HZ
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lam=st.lists(
+        st.builds(complex, st.floats(-60.0, 0.0), st.floats(-40.0, 40.0)), min_size=1, max_size=8
+    ),
+    start=st.floats(0.0, 30.0),
+    dt=st.sampled_from([0.001, 0.05]),
+    count=st.integers(1, 700),
+)
+def test_two_table_exponential_matches_exp(lam, start, dt, count):
+    lam = np.array(lam)[None, :]
+    outer, inner = fcuc.dynamics._exp_tables(lam, np.array([start]), dt, count)
+    table = (outer[0, :, None, :] * inner[0, None, :, :]).reshape(-1, lam.shape[1])[:count]
+    direct = np.exp(lam[0] * (start + dt * np.arange(count))[:, None])
+    # an absolute floor of 1e-300 covers values near underflow
+    assert np.all(np.abs(table - direct) <= EXP_RTOL * np.abs(direct) + 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mix=mixes(), extra=st.floats(0.0, 3000.0))
+def test_nadir_never_falls_as_damping_rises(mix, extra):
+    higher = replace(mix, load_damping_mw_per_pu=mix.load_damping_mw_per_pu + extra)
+    assert response_metrics(higher).nadir_hz >= response_metrics(mix).nadir_hz - NADIR_TOL_HZ
+
+
+def test_rk4_confirms_the_nadir_rises_with_damping():
+    rng = random.Random(31)
+    for _ in range(3):
+        mix = make_mix(
+            capacities_mw={c: rng.uniform(50.0, 900.0) for c in TechClass},
+            load_damping_mw_per_pu=rng.uniform(200.0, 700.0),
+            contingency_mw=rng.uniform(50.0, 300.0),
+        )
+        nadirs = []
+        for factor in (1.0, 1.5, 2.0):
+            m = replace(mix, load_damping_mw_per_pu=factor * mix.load_damping_mw_per_pu)
+            rk4 = compute_metrics(simulate_response(assemble_state_space(m))).nadir_hz
+            assert rk4 == pytest.approx(response_metrics(m).nadir_hz, abs=1e-6)
+            nadirs.append(rk4)
+        assert nadirs[0] < nadirs[1] < nadirs[2]
