@@ -24,7 +24,6 @@ __all__ = [
     "SweepSpec",
     "ComplianceGrid",
     "NadirCut",
-    "BisectionResult",
     "BracketingError",
     "sweep_grid",
     "bisect_min_capacity",
@@ -119,12 +118,6 @@ class NadirCut:
         )
 
 
-@dataclass(frozen=True)
-class BisectionResult:
-    capacity_mw: float
-    status: str  # "bracketed" | "already_feasible"
-
-
 def _nadirs(mixes: list[OnlineMix]) -> np.ndarray:
     """Nadir of every mix, evaluated as one batch."""
     return np.array([met.nadir_hz for met in response_metrics_batch(mixes)])
@@ -154,11 +147,12 @@ def _bisect_axes(
     lo_mw: float,
     hi_mw: float,
     tol_mw: float,
-) -> dict[TechClass, BisectionResult | None]:
+) -> dict[TechClass, float | None]:
     """Bisect every axis on [lo_mw, hi_mw] in lockstep, the other
     capacities as in context: one batch for the window ends, then one batch
-    of midpoints per halving. None marks an axis whose window does not
-    bracket the nadir boundary. Relies on pass-region monotonicity.
+    of midpoints per halving. Each axis maps to its edge in MW, lo_mw when
+    it already complies there, or None when its window does not bracket the
+    nadir boundary. Relies on pass-region monotonicity.
     """
     if tol_mw <= 0:
         raise ValueError("tol_mw must be > 0")
@@ -172,11 +166,11 @@ def _bisect_axes(
     lo_ok, hi_ok = ends[:len(lows)], ends[len(lows):]
     if shared_lo:
         lo_ok = lo_ok.repeat(len(techs))
-    found: dict[TechClass, BisectionResult | None] = {}
+    found: dict[TechClass, float | None] = {}
     windows: dict[TechClass, list[float]] = {}
     for tech, lo_pass, hi_pass in zip(techs, lo_ok, hi_ok):
         if lo_pass and hi_pass:
-            found[tech] = BisectionResult(lo_mw, "already_feasible")
+            found[tech] = lo_mw
         elif not hi_pass:
             found[tech] = None
         else:
@@ -187,7 +181,7 @@ def _bisect_axes(
         passed = _nadirs(mixes) >= limits.nadir_min_hz
         for tech, mid, ok in zip(active, mids, passed):
             windows[tech][1 if ok else 0] = mid
-    found.update((t, BisectionResult(hi, "bracketed")) for t, (_, hi) in windows.items())
+    found.update((t, hi) for t, (_, hi) in windows.items())
     return {t: found[t] for t in techs}
 
 
@@ -198,9 +192,10 @@ def bisect_min_capacity(
     lo_mw: float = 0.0,
     hi_mw: float = EDGE_HI_MW,
     tol_mw: float = BISECT_TOL_MW,
-) -> BisectionResult:
-    """Smallest online capacity of `tech` (others as in context) passing the
-    nadir requirement, to within tol_mw. Relies on pass-region monotonicity.
+) -> float:
+    """Smallest online capacity in MW of `tech` (others as in context)
+    passing the nadir requirement, to within tol_mw; lo_mw when it already
+    passes there. Relies on pass-region monotonicity.
     """
     result = _bisect_axes([tech], context, limits, lo_mw, hi_mw, tol_mw)[tech]
     if result is None:
@@ -224,7 +219,7 @@ def find_edge_points(
     """
     base = context.with_capacities({t: 0.0 for t in axes})
     found = _bisect_axes(axes, base, limits, 0.0, hi_mw, tol_mw)
-    return {t: r.capacity_mw for t, r in found.items() if r is not None}
+    return {t: mw for t, mw in found.items() if mw is not None}
 
 
 def require_edges(

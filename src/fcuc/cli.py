@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from .boundary import DEFAULT_GRANULARITY_MW, BracketingError, SweepAxis, SweepSpec, find_edge_points, fit_hyperplane, make_conservative, require_edges, sweep_grid
-from .drivers import compare_runs, load_report, run_industry, run_proposed, save_report, write_dispatch_table
+from .drivers import DEFAULT_ESCALATION, DEFAULT_MAX_ITER, compare_runs, load_report, run_industry, run_proposed, save_report, write_dispatch_table
 from .dynamics import TechClass, assemble_state_space, check_compliance, export_trace, response_metrics, simulate_response
 from .mps import export_mps
 from .scenario import ScenarioParseError, ScenarioValidationError, load_scenario
@@ -191,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="run one operating model end to end")
     slv.add_argument("--model", choices=["proposed", "industry"], required=True)
     slv.add_argument("--scenario", required=True)
-    slv.add_argument("--max-iter", type=int, default=10)
-    slv.add_argument("--escalation", type=float, default=1.05)
+    slv.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    slv.add_argument("--escalation", type=float, default=DEFAULT_ESCALATION)
     slv.add_argument("--report-out")
     slv.add_argument("--dispatch-out")
     slv.set_defaults(func=_cmd_solve)

@@ -1,15 +1,17 @@
 """End-to-end operating models.
 
-run_proposed: iterative FCUC with simulation-verified nadir cuts learned per
-failing hour. run_industry: uniform reserve requirement escalated until every
-hour's simulated metrics comply. Both return a RunReport auditable against an
-independent re-simulation.
+One loop serves both: solve the commitment MILP, simulate every hour, and
+refine the build options until every hour complies. run_proposed refines by
+adding simulation-verified nadir cuts learned per failing hour; run_industry
+escalates a uniform reserve requirement. Both return a RunReport of the last
+MILP solved, auditable against an independent re-simulation.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .boundary import (
@@ -120,64 +122,44 @@ def _learn_cut(s: SystemScenario, hour: int, axes: list[TechClass]) -> NadirCut 
     return make_conservative(cut, grid)
 
 
-def run_proposed(s: SystemScenario, max_iter: int = DEFAULT_MAX_ITER) -> RunReport:
-    """Iterative FCUC: solve, audit every hour dynamically, add a learned
-    nadir cut for each failing hour, repeat until compliant.
+def _iterate(
+    s: SystemScenario,
+    model: str,
+    opts: BuildOptions,
+    refine: Callable[[BuildOptions, list[int]], BuildOptions | None],
+    max_iter: int,
+) -> RunReport:
+    """The operating loop: solve under opts, simulate every hour, stop when
+    all comply; otherwise ask refine(opts, failing nadir hours) for the next
+    options, None when nothing is left to try. The report describes the last
+    MILP solved: its cuts, its reserve, and the reserves tried so far.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     t0 = time.perf_counter()
-    axes = [cls for cls in COMMITTED_CLASSES if units_of(s, cls)]
-    cuts: list[tuple[int, NadirCut]] = []
-    cut_cache: dict[int, NadirCut | None] = {}  # demand-level key -> cut
+    trajectory: list[float] = []
     metrics: dict[int, FrequencyMetrics] = {}
     sol: UcSolution | None = None
     status = "non_convergence"
-    iters = 0
-
     for iters in range(1, max_iter + 1):
-        opts = BuildOptions(nadir_cuts=tuple(cuts))
+        if opts.uniform_reserve_mw is not None:
+            trajectory.append(opts.uniform_reserve_mw)
         problem = build_fcuc(s, opts)
         res = solve_milp(problem, gap_tol=MILP_GAP_TOL)
         if res.status != "optimal":
-            return RunReport(
-                model="proposed",
-                scenario_name=s.name,
-                status=res.status,
-                iterations=iters,
-                objective=float("nan"),
-                cost_breakdown={},
-                hourly_metrics=metrics,
-                hourly_committed_mw={},
-                cuts=cuts,
-                wall_time_s=time.perf_counter() - t0,
-            )
+            status, sol = res.status, None
+            break
         sol = decode_solution(problem, s, res.x, res.objective)
         metrics, failing, all_ok = _simulate_all_hours(s, sol)
         if all_ok:
             status = "converged"
             break
-        if not failing:
-            # non-nadir metric failing; cuts cannot help
+        nxt = refine(opts, failing) if iters < max_iter else None
+        if nxt is None:
             break
-        added = False
-        for hour in failing:
-            key = int(round(s.demand[hour - 1] / 50.0))
-            if key in cut_cache:
-                cut = cut_cache[key]
-            else:
-                cut = _learn_cut(s, hour, axes)
-                cut_cache[key] = cut
-            if cut is None:
-                continue
-            pair = (hour, replace(cut, context_id=f"hour={hour}"))
-            if all(not (h == hour and c.key() == pair[1].key()) for h, c in cuts):
-                cuts.append(pair)
-                added = True
-        if not added:
-            break  # no new cut can be generated; report non-convergence
-
-    assert sol is not None or status == "non_convergence"
+        opts = nxt
     return RunReport(
-        model="proposed",
+        model=model,
         scenario_name=s.name,
         status=status,
         iterations=iters,
@@ -185,10 +167,37 @@ def run_proposed(s: SystemScenario, max_iter: int = DEFAULT_MAX_ITER) -> RunRepo
         cost_breakdown=dict(sol.cost_breakdown) if sol else {},
         hourly_metrics=metrics,
         hourly_committed_mw=_hourly_committed(s, sol) if sol else {},
-        cuts=cuts,
+        cuts=list(opts.nadir_cuts),
+        final_reserve_mw=opts.uniform_reserve_mw,
+        reserve_trajectory_mw=trajectory,
         wall_time_s=time.perf_counter() - t0,
         solution=sol,
     )
+
+
+def run_proposed(s: SystemScenario, max_iter: int = DEFAULT_MAX_ITER) -> RunReport:
+    """Iterative FCUC: solve, audit every hour dynamically, add a learned
+    nadir cut for each failing hour, repeat until compliant.
+    """
+    axes = [cls for cls in COMMITTED_CLASSES if units_of(s, cls)]
+    cut_cache: dict[int, NadirCut | None] = {}  # demand-level key -> cut
+
+    def add_cuts(opts: BuildOptions, failing: list[int]) -> BuildOptions | None:
+        cuts = list(opts.nadir_cuts)
+        for hour in failing:
+            key = int(round(s.demand[hour - 1] / 50.0))
+            if key not in cut_cache:
+                cut_cache[key] = _learn_cut(s, hour, axes)
+            if cut_cache[key] is None:
+                continue
+            cut = replace(cut_cache[key], context_id=f"hour={hour}")
+            if all(not (h == hour and c.key() == cut.key()) for h, c in cuts):
+                cuts.append((hour, cut))
+        if len(cuts) == len(opts.nadir_cuts):
+            return None  # no nadir hour fails, or no new cut was learned
+        return replace(opts, nadir_cuts=tuple(cuts))
+
+    return _iterate(s, "proposed", BuildOptions(), add_cuts, max_iter)
 
 
 def run_industry(
@@ -201,64 +210,19 @@ def run_industry(
     """
     if escalation_factor <= 1.0:
         raise ValueError("escalation_factor must be > 1")
-    t0 = time.perf_counter()
-    reserve = s.contingency_mw
-    trajectory: list[float] = []
-    metrics: dict[int, FrequencyMetrics] = {}
-    sol: UcSolution | None = None
-    status = "non_convergence"
-    iters = 0
 
-    for iters in range(1, max_iter + 1):
-        trajectory.append(reserve)
-        opts = BuildOptions(uniform_reserve_mw=reserve)
-        problem = build_fcuc(s, opts)
-        res = solve_milp(problem, gap_tol=MILP_GAP_TOL)
-        if res.status != "optimal":
-            return RunReport(
-                model="industry",
-                scenario_name=s.name,
-                status=res.status,
-                iterations=iters,
-                objective=float("nan"),
-                cost_breakdown={},
-                hourly_metrics=metrics,
-                hourly_committed_mw={},
-                final_reserve_mw=reserve,
-                reserve_trajectory_mw=trajectory,
-                wall_time_s=time.perf_counter() - t0,
-            )
-        sol = decode_solution(problem, s, res.x, res.objective)
-        metrics, _, all_ok = _simulate_all_hours(s, sol)
-        if all_ok:
-            status = "converged"
-            break
-        reserve *= escalation_factor
+    def escalate(opts: BuildOptions, failing: list[int]) -> BuildOptions:
+        return replace(opts, uniform_reserve_mw=opts.uniform_reserve_mw * escalation_factor)
 
-    return RunReport(
-        model="industry",
-        scenario_name=s.name,
-        status=status,
-        iterations=iters,
-        objective=sol.objective if sol else float("nan"),
-        cost_breakdown=dict(sol.cost_breakdown) if sol else {},
-        hourly_metrics=metrics,
-        hourly_committed_mw=_hourly_committed(s, sol) if sol else {},
-        final_reserve_mw=trajectory[-1] if trajectory else None,
-        reserve_trajectory_mw=trajectory,
-        wall_time_s=time.perf_counter() - t0,
-        solution=sol,
-    )
+    opts = BuildOptions(uniform_reserve_mw=s.contingency_mw)
+    return _iterate(s, "industry", opts, escalate, max_iter)
 
 
 def audit_report(s: SystemScenario, report: RunReport, tol: float = 1e-6) -> list:
     """Independent post-hoc audit: static feasibility + hourly re-simulation."""
     if report.solution is None:
         raise ValueError("report carries no solution to audit")
-    opts = BuildOptions(
-        nadir_cuts=tuple(report.cuts),
-        uniform_reserve_mw=report.final_reserve_mw if report.model == "industry" else None,
-    )
+    opts = BuildOptions(nadir_cuts=tuple(report.cuts), uniform_reserve_mw=report.final_reserve_mw)
     violations = list(check_feasibility(s, report.solution, tol, opts))
     if report.compliant:
         _, _, all_ok = _simulate_all_hours(s, report.solution)

@@ -113,8 +113,8 @@ class MilpProblem:
         return [j for j, v in enumerate(self.variables) if v.binary]
 
     def split_rows(self):
-        """(A_ub, b_ub, A_eq, b_eq) with >= rows negated into <= form, as
-        scipy-style sparse triplets materialized densely only on demand."""
+        """(A_ub, b_ub, A_eq, b_eq) with >= rows negated into <= form; the
+        matrices are scipy CSR matrices, the right-hand sides numpy arrays."""
         from scipy.sparse import csr_matrix
 
         ub_data, ub_i, ub_j, b_ub = [], [], [], []

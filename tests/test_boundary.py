@@ -108,7 +108,7 @@ def test_hydro_diminishing_returns():
 def test_bisection_matches_linear_scan():
     ctx = _context()
     res = bisect_min_capacity(TechClass.COMBINED_CYCLE, ctx, LIMITS, 0.0, 4000.0, 0.5)
-    assert res.status == "bracketed"
+    assert res > 0.0  # bracketed: a bracketed edge lies above lo_mw
     # independent oracle: fine linear scan for the first passing capacity
     step = 0.5
     scan = None
@@ -120,17 +120,17 @@ def test_bisection_matches_linear_scan():
             scan = float(c)
             break
     assert scan is not None
-    assert abs(res.capacity_mw - scan) <= 2 * step
+    assert abs(res - scan) <= 2 * step
 
 
 def test_bisection_boundary_semantics():
     ctx = _context()
     res = bisect_min_capacity(TechClass.COMBINED_CYCLE, ctx, LIMITS, 0.0, 4000.0, 0.5)
     above = response_metrics(
-        ctx.with_capacity(TechClass.COMBINED_CYCLE, res.capacity_mw)
+        ctx.with_capacity(TechClass.COMBINED_CYCLE, res)
     ).nadir_hz
     below = response_metrics(
-        ctx.with_capacity(TechClass.COMBINED_CYCLE, res.capacity_mw - 1.0)
+        ctx.with_capacity(TechClass.COMBINED_CYCLE, res - 1.0)
     ).nadir_hz
     assert above >= LIMITS.nadir_min_hz
     assert below < LIMITS.nadir_min_hz
@@ -139,7 +139,7 @@ def test_bisection_boundary_semantics():
 def test_bisection_already_feasible_and_bracketing_error():
     rich = _context().with_capacity(TechClass.COMBINED_CYCLE, 5000.0)
     res = bisect_min_capacity(TechClass.STEAM, rich, LIMITS, 0.0, 1000.0)
-    assert res.status == "already_feasible" and res.capacity_mw == 0.0
+    assert res == 0.0  # already feasible at lo_mw
     hopeless = _context(contingency=500.0)
     with pytest.raises(BracketingError):
         bisect_min_capacity(TechClass.STEAM, hopeless, LIMITS, 0.0, 200.0)
@@ -166,7 +166,7 @@ def test_edge_points_zero_other_axes():
         0.0,
         6000.0,
     )
-    assert edges[TechClass.COMBINED_CYCLE] == pytest.approx(solo.capacity_mw)
+    assert edges[TechClass.COMBINED_CYCLE] == pytest.approx(solo)
 
 
 def _serial_bisection(tech, context, lo, hi, tol):

@@ -95,11 +95,24 @@ def test_non_convergence_at_iteration_cap(desk):
     assert rep.status == "non_convergence"
     assert rep.iterations == 1
     assert not rep.compliant
+    # the report describes the last MILP solved: the first one, with no cuts
+    assert rep.cuts == []
+    assert audit_report(desk, rep) == []  # no nadir_cut row it never saw
+    ind = run_industry(desk, escalation_factor=1.1, max_iter=2)
+    assert ind.status == "non_convergence" and ind.iterations == 2
+    assert ind.final_reserve_mw == ind.reserve_trajectory_mw[-1]
+    assert audit_report(desk, ind) == []
 
 
 def test_escalation_factor_must_exceed_one(desk):
     with pytest.raises(ValueError, match="escalation_factor"):
         run_industry(desk, escalation_factor=1.0)
+
+
+def test_max_iter_must_be_positive(desk):
+    for run in (run_proposed, run_industry):
+        with pytest.raises(ValueError, match="max_iter"):
+            run(desk, max_iter=0)
 
 
 def test_report_round_trip(tmp_path, proposed, desk):
