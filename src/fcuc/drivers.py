@@ -147,7 +147,7 @@ def _iterate(
         problem = build_fcuc(s, opts)
         res = solve_milp(problem, gap_tol=MILP_GAP_TOL)
         if res.status != "optimal":
-            status, sol = res.status, None
+            status, sol, metrics = res.status, None, {}
             break
         sol = decode_solution(problem, s, res.x, res.objective)
         metrics, failing, all_ok = _simulate_all_hours(s, sol)

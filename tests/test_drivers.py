@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import fcuc.drivers
 from conftest import desk_scenario, hydro_heavy_scenario
 from fcuc.drivers import (
     audit_report,
@@ -18,6 +19,7 @@ from fcuc.drivers import (
 )
 from fcuc.dynamics import TechClass
 from fcuc.scenario import FrequencyLimits
+from fcuc.solver import MilpResult
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,24 @@ def test_non_convergence_at_iteration_cap(desk):
     assert ind.status == "non_convergence" and ind.iterations == 2
     assert ind.final_reserve_mw == ind.reserve_trajectory_mw[-1]
     assert audit_report(desk, ind) == []
+
+
+def test_failed_solve_reports_no_metrics_of_an_earlier_milp(desk, monkeypatch):
+    """A solver limit after a successful solve leaves no hourly results behind:
+    the report describes only the MILP that failed."""
+    solve = fcuc.drivers.solve_milp
+    calls = []
+
+    def limit_on_second_call(problem, **kw):
+        calls.append(problem)
+        return MilpResult(status="limit") if len(calls) == 2 else solve(problem, **kw)
+
+    monkeypatch.setattr(fcuc.drivers, "solve_milp", limit_on_second_call)
+    rep = run_proposed(desk, max_iter=12)
+    assert len(calls) == 2
+    assert rep.status == "limit" and rep.iterations == 2
+    assert rep.hourly_metrics == {}
+    assert rep.hourly_committed_mw == {}
 
 
 def test_escalation_factor_must_exceed_one(desk):

@@ -1,11 +1,12 @@
 """HiGHS MILP solves against exhaustive enumeration, and status mapping."""
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import tiny_scenario
+from conftest import desk_scenario, tiny_scenario
 from fcuc.milp import GE, LE, MilpProblem
 from fcuc.scenario import load_scenario
 from fcuc.solver import solve_milp
@@ -50,6 +51,15 @@ def test_time_limit_yields_limit_status():
     res = solve_milp(p, time_limit_s=0.0)
     assert res.status == "limit"
     assert res.x is None
+
+
+def test_solve_milp_emits_no_warnings():
+    """The HiGHS options beyond scipy's documented ones raise no warning."""
+    p = build_fcuc(desk_scenario())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_milp(p)
+    assert res.status == "optimal"
 
 
 def test_infeasible_milp_reported():
