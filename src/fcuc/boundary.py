@@ -5,17 +5,16 @@ pass/fail against the nadir requirement; bisection finds the minimum
 stand-alone capacity per technology (edge points), every axis in
 lockstep; the hyperplane through the edge points becomes a linear cut,
 tightened until no failing lattice point satisfies it. Each lattice and
-each bisection step is one batch of the modal kernel.
+each bisection step is one batch of capacity rows over one context.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OnlineMix, TechClass, response_metrics_batch
+from .dynamics import OnlineMix, TechClass, response_metrics_rows
 from .dynamics import response_metrics  # noqa: F401  bench/spans.py wraps it here by name
 from .scenario import FrequencyLimits
 
@@ -118,20 +117,26 @@ class NadirCut:
         )
 
 
-def _nadirs(mixes: list[OnlineMix]) -> np.ndarray:
-    """Nadir of every mix, evaluated as one batch."""
-    return np.array([met.nadir_hz for met in response_metrics_batch(mixes)])
+def _column(tech: TechClass) -> int:
+    """The column of tech in a row of capacities (TechClass order)."""
+    return list(TechClass).index(tech)
+
+
+def _context_rows(context: OnlineMix, n: int) -> np.ndarray:
+    """n rows of the context's own capacities, to be edited per point."""
+    return np.tile(np.array(context.capacities_mw(), dtype=float), (n, 1))
 
 
 def sweep_grid(spec: SweepSpec) -> ComplianceGrid:
-    """Evaluate nadir compliance at every lattice point of the spec, as one batch."""
+    """Evaluate nadir compliance at every lattice point of the spec, as one
+    batch of capacity rows over the spec's context."""
     axis_values = tuple(a.values() for a in spec.axes)
-    techs = [a.tech for a in spec.axes]
-    mixes = [
-        spec.context.with_capacities(dict(zip(techs, map(float, caps))))
-        for caps in itertools.product(*axis_values)
-    ]
-    nadir = _nadirs(mixes).reshape(tuple(len(v) for v in axis_values))
+    shape = tuple(len(v) for v in axis_values)
+    rows = _context_rows(spec.context, int(np.prod(shape)))
+    for axis, grid in zip(spec.axes, np.meshgrid(*axis_values, indexing="ij")):
+        rows[:, _column(axis.tech)] = grid.ravel()
+    nadir = np.array([met.nadir_hz for met in response_metrics_rows(spec.context, rows)])
+    nadir = nadir.reshape(shape)
     return ComplianceGrid(
         axes=spec.axes,
         axis_values=axis_values,
@@ -149,20 +154,29 @@ def _bisect_axes(
     tol_mw: float,
 ) -> dict[TechClass, float | None]:
     """Bisect every axis on [lo_mw, hi_mw] in lockstep, the other
-    capacities as in context: one batch for the window ends, then one batch
-    of midpoints per halving. Each axis maps to its edge in MW, lo_mw when
-    it already complies there, or None when its window does not bracket the
-    nadir boundary. Relies on pass-region monotonicity.
+    capacities as in context: one batch of capacity rows for the window
+    ends, then one batch of midpoints per halving. Each axis maps to its
+    edge in MW, lo_mw when it already complies there, or None when its
+    window does not bracket the nadir boundary. Relies on pass-region
+    monotonicity.
     """
     if tol_mw <= 0:
         raise ValueError("tol_mw must be > 0")
     if not techs:
         return {}
-    # the lower ends are one mix when the context already holds every axis at lo_mw
+
+    def passes(axes: list[TechClass], mws: list[float]) -> np.ndarray:
+        """Compliance of the context with each axis in turn at its mw."""
+        rows = _context_rows(context, len(axes))
+        rows[np.arange(len(axes)), [_column(t) for t in axes]] = mws
+        return np.array(
+            [met.nadir_hz for met in response_metrics_rows(context, rows)]
+        ) >= limits.nadir_min_hz
+
+    # the lower ends are one row when the context already holds every axis at lo_mw
     shared_lo = all(context.tech(t).online_mw == lo_mw for t in techs)
-    lows = [context] if shared_lo else [context.with_capacity(t, lo_mw) for t in techs]
-    highs = [context.with_capacity(t, hi_mw) for t in techs]
-    ends = _nadirs([*lows, *highs]) >= limits.nadir_min_hz
+    lows = list(techs[:1] if shared_lo else techs)
+    ends = passes([*lows, *techs], [lo_mw] * len(lows) + [hi_mw] * len(techs))
     lo_ok, hi_ok = ends[:len(lows)], ends[len(lows):]
     if shared_lo:
         lo_ok = lo_ok.repeat(len(techs))
@@ -177,9 +191,7 @@ def _bisect_axes(
             windows[tech] = [lo_mw, hi_mw]
     while active := [t for t, (lo, hi) in windows.items() if hi - lo > tol_mw]:
         mids = [0.5 * (windows[t][0] + windows[t][1]) for t in active]
-        mixes = [context.with_capacity(t, mid) for t, mid in zip(active, mids)]
-        passed = _nadirs(mixes) >= limits.nadir_min_hz
-        for tech, mid, ok in zip(active, mids, passed):
+        for tech, mid, ok in zip(active, mids, passes(active, mids)):
             windows[tech][1 if ok else 0] = mid
     found.update((t, hi) for t, (_, hi) in windows.items())
     return {t: found[t] for t in techs}
@@ -249,17 +261,14 @@ def fit_hyperplane(edge_points: dict[TechClass, float], context_id: str = "") ->
 
 def make_conservative(cut: NadirCut, grid: ComplianceGrid) -> NadirCut:
     """Tighten the intercept until no failing lattice point satisfies the cut."""
-    worst = None
-    for caps, ok, _ in grid.points():
-        if ok:
-            continue
-        lhs = sum(
-            cut.coeff(grid.axes[k].tech) * caps[k] for k in range(len(grid.axes))
-        )
-        if lhs - cut.intercept >= 0 and (worst is None or lhs > worst):
-            worst = lhs
-    if worst is None:
+    # the cut's lhs at every lattice point, summed over the axes left to right
+    lhs = np.zeros(grid.passed.shape)
+    for axis, values in zip(grid.axes, np.meshgrid(*grid.axis_values, indexing="ij")):
+        lhs = lhs + cut.coeff(axis.tech) * values
+    admitted = lhs[~grid.passed & (lhs - cut.intercept >= 0)]
+    if admitted.size == 0:
         return cut
+    worst = admitted.max()
     # nudge past the worst failing point so the (closed) cut excludes it
     intercept = worst * (1.0 + 1e-9) + 1e-15
     return NadirCut(coeffs=dict(cut.coeffs), intercept=intercept, context_id=cut.context_id)

@@ -1,6 +1,7 @@
 """Center-of-inertia frequency dynamics: state-space assembly, RK4
 integration, and metric extraction by one batched modal kernel
-(response_metrics_batch; response_metrics is a batch of one).
+(response_metrics_batch over mixes, response_metrics_rows over capacity
+rows of one context; response_metrics is a batch of one).
 
 The model aggregates every frequency-responsive technology into one swing
 equation. Governor paths:
@@ -16,6 +17,7 @@ All frequency deviations are per-unit (delta = df / f0); powers are MW.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -40,6 +42,7 @@ __all__ = [
     "simulate_response",
     "response_metrics",
     "response_metrics_batch",
+    "response_metrics_rows",
     "compute_metrics",
     "check_compliance",
 ]
@@ -81,6 +84,8 @@ DEFAULT_INERTIA_H = {
 
 
 _STATES = attrgetter(*(c.value for c in TechClass))  # OnlineMix fields, in TechClass order
+
+_log = logging.getLogger(__name__)
 
 
 class ZeroInertiaError(ValueError):
@@ -131,19 +136,13 @@ class OnlineMix:
         """Every class's state, in TechClass order."""
         return _STATES(self)
 
+    def capacities_mw(self) -> list[float]:
+        """Every class's online capacity, in TechClass order."""
+        return [s.online_mw for s in self.states()]
+
     @property
     def system_inertia_mws(self) -> float:
         return sum(2.0 * s.inertia_h_s * s.online_mw for s in self.states())
-
-    def validate(self) -> None:
-        for cls, state in zip(TechClass, self.states()):
-            if state.online_mw < 0:
-                raise ValueError(f"{cls.value}: online capacity must be >= 0")
-        if self.contingency_mw > 0 and self.system_inertia_mws <= 0:
-            raise ZeroInertiaError(
-                "cannot disturb a zero-inertia system "
-                f"(contingency {self.contingency_mw} MW, inertia 0)"
-            )
 
 
 @dataclass(frozen=True)
@@ -196,6 +195,21 @@ class ComplianceReport:
 # assembly
 
 @dataclass(frozen=True)
+class _Block:
+    """The capacity-free part of the model of a stack of contexts, one per
+    leading index: everything that depends only on droops, inertia constants
+    and DynamicParams. _assemble adds the online capacities, one row each."""
+
+    a: np.ndarray  # (c, 8, 8) rows 1-7 of A; the swing row is zero
+    mech: np.ndarray  # (c, 4, 8) mechanical power rows per MW of class capacity, GOVERNOR_CLASSES order
+    two_h: np.ndarray  # (c, 6) 2H per class, TechClass order
+    damping: np.ndarray  # (c,)
+    contingency_mw: np.ndarray
+    nominal_freq_hz: np.ndarray
+    contexts: Sequence[OnlineMix]  # for error messages
+
+
+@dataclass(frozen=True)
 class _Systems:
     """The state-space models of a stack of mixes, one per leading index."""
 
@@ -220,25 +234,32 @@ class _Systems:
         )
 
 
-def _assemble(mixes: Sequence[OnlineMix]) -> _Systems:
-    """Build the aggregate swing + governor model of every mix of a stack.
+def _capacities(mixes: Sequence[OnlineMix]) -> np.ndarray:
+    """The online capacities of every mix, (n, 6) MW in TechClass order."""
+    return np.array([mix.capacities_mw() for mix in mixes], dtype=float).reshape(
+        len(mixes), len(TechClass)
+    )
+
+
+def _block(contexts: Sequence[OnlineMix]) -> _Block:
+    """The capacity-free block of every context of a stack.
 
     State order: delta, steam governor, steam chest, steam reheat, CC lag,
     hydro governor, hydro water column, GFM lag. Governor states are per-unit
     on their class capacity; the swing row scales them to MW.
     """
-    n = len(mixes)
-    a = np.zeros((n, 8, 8))
-    mech = np.zeros((n, len(GOVERNOR_CLASSES), 8))
-    m = np.empty(n)
-    damping, contingency, f0 = np.array(
-        [(x.load_damping_mw_per_pu, x.contingency_mw, x.nominal_freq_hz) for x in mixes]
-    ).reshape(n, 3).T
-    for i, mix in enumerate(mixes):
-        mix.validate()
-        m[i] = mix.system_inertia_mws
-        steam, cc, hydro, gfm = mix.states()[:len(GOVERNOR_CLASSES)]
-        dyn = mix.dynamics
+    c, k = len(contexts), len(TechClass)
+    a = np.zeros((c, 8, 8))
+    mech = np.zeros((c, len(GOVERNOR_CLASSES), 8))
+    # 2H per class, then damping, contingency and f0
+    consts = np.array([
+        [2.0 * s.inertia_h_s for s in ctx.states()]
+        + [ctx.load_damping_mw_per_pu, ctx.contingency_mw, ctx.nominal_freq_hz]
+        for ctx in contexts
+    ]).reshape(c, k + 3)
+    for i, ctx in enumerate(contexts):
+        steam, cc, hydro, gfm = ctx.states()[:len(GOVERNOR_CLASSES)]
+        dyn = ctx.dynamics
         ai, mi = a[i], mech[i]
 
         # steam: gov lag -> chest -> reheat lead-lag (F_HP + (1-F_HP)/(1+T_RH s))
@@ -249,14 +270,14 @@ def _assemble(mixes: Sequence[OnlineMix]) -> _Systems:
         ai[2, 2] = -1.0 / dyn.steam_chest_s
         ai[3, 2] = 1.0 / dyn.steam_reheat_s
         ai[3, 3] = -1.0 / dyn.steam_reheat_s
-        mi[0, 2] = dyn.steam_hp_fraction * steam.online_mw
-        mi[0, 3] = (1.0 - dyn.steam_hp_fraction) * steam.online_mw
+        mi[0, 2] = dyn.steam_hp_fraction
+        mi[0, 3] = 1.0 - dyn.steam_hp_fraction
 
         # combined cycle: single lag
         rc = cc.droop if cc.droop > 0 else math.inf
         ai[4, 0] = -1.0 / (rc * dyn.cc_lag_s)
         ai[4, 4] = -1.0 / dyn.cc_lag_s
-        mi[1, 4] = cc.online_mw
+        mi[1, 4] = 1.0
 
         # hydro: transient-droop governor (lead-lag, DC gain 1/R, HF gain 1/R_T)
         # followed by the non-minimum-phase water column (1 - T_w s)/(1 + T_w s / 2)
@@ -274,32 +295,63 @@ def _assemble(mixes: Sequence[OnlineMix]) -> _Systems:
         ai[6, 5] = g_gov / half_tw
         ai[6, 6] = -1.0 / half_tw
         # water column output y = -2 g + 3 x_w
-        mi[2, 0] = -2.0 * g_delta * hydro.online_mw
-        mi[2, 5] = -2.0 * g_gov * hydro.online_mw
-        mi[2, 6] = 3.0 * hydro.online_mw
+        mi[2, 0] = -2.0 * g_delta
+        mi[2, 5] = -2.0 * g_gov
+        mi[2, 6] = 3.0
 
         # gfm vsm: droop through a fast lag
         rg = gfm.droop if gfm.droop > 0 else math.inf
         ai[7, 0] = -1.0 / (rg * dyn.gfm_lag_s)
         ai[7, 7] = -1.0 / dyn.gfm_lag_s
-        mi[3, 7] = gfm.online_mw
+        mi[3, 7] = 1.0
+    return _Block(
+        a, mech, consts[:, :k], consts[:, k], consts[:, k + 1], consts[:, k + 2], contexts
+    )
 
+
+def _assemble(block: _Block, caps: np.ndarray) -> _Systems:
+    """The models of a block's contexts with online capacities caps, (n, 6)
+    MW in TechClass order: a block of one context serves every row, else
+    row i is context i's. Raises the first row's error, in row order: a
+    negative capacity (ValueError), or a disturbance on zero inertia
+    (ZeroInertiaError).
+    """
+    n = len(caps)
+    per_context = n // len(block.a)  # rows per context: n or 1
+    # m = sum of 2H S over the classes, added in TechClass order
+    m = np.zeros(n)
+    for inertia in (block.two_h * caps).T:
+        m = m + inertia
+    contingency = block.contingency_mw.repeat(per_context)
+    negative = caps < 0
+    zero_inertia = (contingency > 0) & (m <= 0)
+    if negative.any() or zero_inertia.any():
+        i = int(np.argmax(negative.any(axis=1) | zero_inertia))
+        if negative[i].any():
+            cls = list(TechClass)[int(np.argmax(negative[i]))]
+            raise ValueError(f"{cls.value}: online capacity must be >= 0")
+        raise ZeroInertiaError(
+            "cannot disturb a zero-inertia system "
+            f"(contingency {block.contexts[i // per_context].contingency_mw} MW, inertia 0)"
+        )
+    a = block.a.repeat(per_context, axis=0)
+    mech = block.mech * caps[:, :len(GOVERNOR_CLASSES), None]
     # swing equation: m delta' = sum(mech MW) - dPe - K^D delta
     swing = mech[:, 0] + mech[:, 1] + mech[:, 2] + mech[:, 3]
-    swing[:, 0] += -damping
-    # m == 0 only with zero contingency (validate()): the response is
+    swing[:, 0] += -block.damping
+    # m == 0 only with zero contingency (checked above): the response is
     # identically zero and A's first row stays zero
     disturbed = m > 0
     m_safe = np.where(disturbed, m, 1.0)
     a[:, 0, :] = np.where(disturbed[:, None], swing / m_safe[:, None], 0.0)
     b = np.zeros((n, 8))
     b[:, 0] = np.where(disturbed, -contingency / m_safe, 0.0)
-    return _Systems(a, b, mech, m, contingency, f0)
+    return _Systems(a, b, mech, m, contingency, block.nominal_freq_hz.repeat(per_context))
 
 
 def assemble_state_space(mix: OnlineMix) -> LinearSystem:
-    """The aggregate swing + governor model of one online mix (see _assemble)."""
-    return _assemble([mix]).system(0)
+    """The aggregate swing + governor model of one online mix (see _block)."""
+    return _assemble(_block([mix]), _capacities([mix])).system(0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +426,10 @@ CHUNK_MIXES = 32
 
 
 def _eigenbasis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues (n, 8) and eigenvectors (n, 8, 8) of each A of a stack,
-    and which of them the modal solution may use. A near-defective A
-    (eigenvector condition number above 1e10, or no decomposition) is
-    refused; its mix falls back to RK4.
+    """Eigenvalues (n, 8), eigenvectors (n, 8, 8) and the eigenvector
+    condition number (n,) of each A of a stack; inf where A has no
+    decomposition. The modal solution refuses a near-defective A (condition
+    above 1e10, or not finite); its mix falls back to RK4.
     """
     try:
         lam, v = np.linalg.eig(a)
@@ -385,11 +437,11 @@ def _eigenbasis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError:
         if len(a) == 1:
             n = a.shape[-1]
-            return np.zeros((1, n), complex), np.eye(n, dtype=complex)[None], np.zeros(1, bool)
+            return np.zeros((1, n), complex), np.eye(n, dtype=complex)[None], np.full(1, np.inf)
         # factor each A alone, so only the one that failed is refused
         parts = [_eigenbasis(x[None]) for x in a]
         return tuple(np.concatenate(p) for p in zip(*parts))  # type: ignore[return-value]
-    return lam.astype(complex), v.astype(complex), np.isfinite(cond) & (cond <= 1e10)
+    return lam.astype(complex), v.astype(complex), cond
 
 
 def _exp_tables(
@@ -480,11 +532,15 @@ def _qss_pu(a: np.ndarray, b: np.ndarray, horizon_pu: np.ndarray) -> np.ndarray:
         )
 
 
-def _chunk_metrics(mixes: list[OnlineMix], horizon: float, step: float) -> list[FrequencyMetrics]:
-    """Metrics of a chunk of mixes that share the sample grid (horizon, step)."""
-    n = len(mixes)
-    systems = _assemble(mixes)
-    lam, v, modal = _eigenbasis(systems.a)
+def _chunk_metrics(
+    block: _Block, caps: np.ndarray, horizon: float, step: float
+) -> list[FrequencyMetrics]:
+    """Metrics of a chunk of capacity rows (see _assemble) that share the
+    sample grid (horizon, step)."""
+    n = len(caps)
+    systems = _assemble(block, caps)
+    lam, v, cond = _eigenbasis(systems.a)
+    modal = cond <= 1e10  # False for nan and inf
     nadir_pu, nadir_s, horizon_pu = np.empty(n), np.empty(n), np.empty(n)
     rows = np.flatnonzero(modal)
     if rows.size:
@@ -494,11 +550,15 @@ def _chunk_metrics(mixes: list[OnlineMix], horizon: float, step: float) -> list[
         nadir_s[rows] = k * step
     for i in np.flatnonzero(~modal):
         # near-defective eigenbasis: RK4 supplies every sample
+        _log.debug(
+            "RK4 fallback for capacity row %s MW: eigenvector condition %.3g",
+            caps[i].tolist(), cond[i],
+        )
         delta = simulate_response(systems.system(i), horizon, step).delta_pu
         j = int(np.argmin(delta))
         nadir_pu[i], nadir_s[i], horizon_pu[i] = delta[j], j * step, delta[-1]
     f0, m = systems.nominal_freq_hz, systems.inertia_mws
-    # zero inertia is only valid with no disturbance (validate()), so then delta == 0
+    # zero inertia is only valid with no disturbance (_assemble), so then delta == 0
     rocof = np.divide(systems.contingency_mw * f0, m, out=np.zeros(n), where=m > 0)
     # The quasi-steady-state is the asymptote of the linear system, available
     # exactly as its DC gain; the slow hydro governor (reset stretched by
@@ -531,8 +591,26 @@ def response_metrics_batch(mixes: Sequence[OnlineMix]) -> list[FrequencyMetrics]
     for (horizon, step), members in grids.items():
         for c in range(0, len(members), CHUNK_MIXES):
             chunk = members[c:c + CHUNK_MIXES]
-            for i, met in zip(chunk, _chunk_metrics([mixes[i] for i in chunk], horizon, step)):
+            contexts = [mixes[i] for i in chunk]
+            metrics = _chunk_metrics(_block(contexts), _capacities(contexts), horizon, step)
+            for i, met in zip(chunk, metrics):
                 out[i] = met
+    return out
+
+
+def response_metrics_rows(context: OnlineMix, capacities: np.ndarray) -> list[FrequencyMetrics]:
+    """Metrics of the context's response with each row of capacities, (n, 6)
+    MW in TechClass order, in place of its online capacities: the same as
+    response_metrics_batch of the matching context.with_capacities mixes,
+    without building a mix per row. The capacity-free part of the model is
+    built once for the context.
+    """
+    caps = np.asarray(capacities, dtype=float).reshape(-1, len(TechClass))
+    block = _block([context])
+    horizon, step = context.dynamics.horizon_s, context.dynamics.step_s
+    out: list[FrequencyMetrics] = []
+    for c in range(0, len(caps), CHUNK_MIXES):
+        out += _chunk_metrics(block, caps[c:c + CHUNK_MIXES], horizon, step)
     return out
 
 

@@ -3,6 +3,9 @@ fast paths are checked against. Nothing in `fcuc` imports this module.
 
 - `make_mix` builds an `OnlineMix` from class capacities with the class
   default droop and inertia constants.
+- `validate_mix` checks one mix the way the kernel checks each capacity row,
+  one class at a time.
+- `make_conservative_by_points` repairs a cut one lattice point at a time.
 - `analytic_qss` is the final-value-theorem QSS deviation of a mix.
 - `brute_force_milp` enumerates every binary assignment of a small MILP and
   solves each continuous LP with HiGHS (`scipy.optimize.linprog`).
@@ -16,6 +19,7 @@ import time
 import numpy as np
 from scipy.optimize import linprog
 
+from fcuc.boundary import ComplianceGrid, NadirCut
 from fcuc.dynamics import (
     DEFAULT_DROOP,
     DEFAULT_INERTIA_H,
@@ -23,6 +27,7 @@ from fcuc.dynamics import (
     OnlineMix,
     TechClass,
     TechState,
+    ZeroInertiaError,
 )
 from fcuc.milp import MilpProblem
 from fcuc.scenario import DynamicParams
@@ -54,6 +59,38 @@ def make_mix(
         dynamics=dynamics or DynamicParams(),
         **states,  # type: ignore[arg-type]
     )
+
+
+def validate_mix(mix: OnlineMix) -> None:
+    """ValueError for a negative class capacity (the first in TechClass
+    order), else ZeroInertiaError for a disturbance on zero inertia."""
+    for cls, state in zip(TechClass, mix.states()):
+        if state.online_mw < 0:
+            raise ValueError(f"{cls.value}: online capacity must be >= 0")
+    if mix.contingency_mw > 0 and mix.system_inertia_mws <= 0:
+        raise ZeroInertiaError(
+            "cannot disturb a zero-inertia system "
+            f"(contingency {mix.contingency_mw} MW, inertia 0)"
+        )
+
+
+def make_conservative_by_points(cut: NadirCut, grid: ComplianceGrid) -> NadirCut:
+    """Tighten the intercept until no failing lattice point satisfies the
+    cut, visiting the points one at a time."""
+    worst = None
+    for caps, ok, _ in grid.points():
+        if ok:
+            continue
+        lhs = sum(
+            cut.coeff(grid.axes[k].tech) * caps[k] for k in range(len(grid.axes))
+        )
+        if lhs - cut.intercept >= 0 and (worst is None or lhs > worst):
+            worst = lhs
+    if worst is None:
+        return cut
+    # nudge past the worst failing point so the (closed) cut excludes it
+    intercept = worst * (1.0 + 1e-9) + 1e-15
+    return NadirCut(coeffs=dict(cut.coeffs), intercept=intercept, context_id=cut.context_id)
 
 
 def analytic_qss(mix: OnlineMix) -> float:

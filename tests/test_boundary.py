@@ -4,10 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fcuc.boundary
 from fcuc.boundary import (
     BracketingError,
+    ComplianceGrid,
     NadirCut,
     SweepAxis,
     SweepSpec,
@@ -20,7 +22,7 @@ from fcuc.boundary import (
 )
 from fcuc.dynamics import TechClass, response_metrics
 from fcuc.scenario import FrequencyLimits
-from oracles import make_mix
+from oracles import make_conservative_by_points, make_mix
 
 LIMITS = FrequencyLimits(2.0, 49.3, 0.8)
 
@@ -191,13 +193,14 @@ def test_edge_points_bisect_in_lockstep_from_one_base(monkeypatch):
     axes = [TechClass.STEAM, TechClass.COMBINED_CYCLE, TechClass.HYDRO_RESERVOIR]
     base = ctx.with_capacities({t: 0.0 for t in axes})
     batches = []
-    batch = fcuc.boundary.response_metrics_batch
+    batch = fcuc.boundary.response_metrics_rows
 
-    def recorded(mixes):
-        batches.append(list(mixes))
-        return batch(mixes)
+    def recorded(context, rows):
+        # every row evaluated, as the mix it stands for
+        batches.append([context.with_capacities(dict(zip(TechClass, map(float, r)))) for r in rows])
+        return batch(context, rows)
 
-    monkeypatch.setattr(fcuc.boundary, "response_metrics_batch", recorded)
+    monkeypatch.setattr(fcuc.boundary, "response_metrics_rows", recorded)
     edges = find_edge_points(axes, ctx, LIMITS, hi_mw=6000.0, tol_mw=1.0)
     halvings, width = 0, 6000.0
     while width > 1.0:
@@ -258,6 +261,45 @@ def test_make_conservative_noop_when_already_safe():
     )
     safe = NadirCut({TechClass.COMBINED_CYCLE: 1.0 / 100.0}, intercept=1e9)
     assert make_conservative(safe, grid).intercept == 1e9
+
+
+@st.composite
+def tightened_repairs(draw):
+    """A cut and a 1-3 axis grid of random pass/fail points, where at least
+    one failing point satisfies the cut, so repair must tighten it."""
+    techs = draw(st.permutations(list(TechClass)))[:draw(st.sampled_from([3, 2, 1]))]
+    axes = []
+    for tech in techs:
+        lo, step = draw(st.floats(0.0, 500.0)), draw(st.floats(1.0, 900.0))
+        axes.append(SweepAxis(tech, lo, lo + step * draw(st.integers(0, 7)), step))
+    axes = tuple(axes)
+    values = tuple(a.values() for a in axes)
+    shape = tuple(len(v) for v in values)
+    passed = np.array(
+        draw(st.lists(st.booleans(), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    ).reshape(shape)
+    # a coefficient per axis; one in five is left out of the cut
+    coeffs = {t: draw(st.floats(1e-5, 1e-2)) for t in techs if draw(st.integers(0, 4))}
+    cut = NadirCut(coeffs, 1.0, context_id="h")
+    grid = ComplianceGrid(axes, values, passed, np.zeros(shape))
+    worst = max(
+        (cut.lhs(dict(zip(techs, caps))) for caps, ok, _ in grid.points() if not ok),
+        default=0.0,
+    )
+    scale = draw(st.floats(0.05, 1.0))
+    return NadirCut(coeffs, scale * worst, context_id="h"), grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(repair=tightened_repairs())
+def test_vectorised_repair_matches_point_by_point(repair):
+    cut, grid = repair
+    reference = make_conservative_by_points(cut, grid)
+    repaired = make_conservative(cut, grid)
+    assert repaired == reference
+    assert repaired.intercept == reference.intercept  # bit-identical, not approx
+    if cut.intercept > 0:
+        assert repaired.intercept > cut.intercept
 
 
 def test_cut_key_identifies_equivalent_cuts():

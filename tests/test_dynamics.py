@@ -1,8 +1,10 @@
 """Dynamic-model tests: integrator oracle, metric identities, orderings."""
 
+import logging
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from fcuc.dynamics import (
     response_metrics_batch,
     simulate_response,
 )
-from fcuc.scenario import FrequencyLimits
+from fcuc.boundary import SweepAxis, SweepSpec, sweep_grid
+from fcuc.scenario import FrequencyLimits, validate_scenario
+from fcuc.ucmodel import fleet_mix
 from oracles import analytic_qss, make_mix
 
 
@@ -71,12 +75,13 @@ def test_integrator_matches_modal_solution():
 
 
 def _refusing_eigenbasis(refuse):
-    """The batch's eigenbasis check, refusing also every A for which refuse(A) holds."""
+    """The batch's eigenbasis, refusing also every A for which refuse(A)
+    holds: its condition number reads inf."""
     usable = fcuc.dynamics._eigenbasis
 
     def eigenbasis(a):
-        lam, v, ok = usable(a)
-        return lam, v, ok & ~np.array([refuse(x) for x in a], dtype=bool)
+        lam, v, cond = usable(a)
+        return lam, v, np.where([refuse(x) for x in a], np.inf, cond)
 
     return eigenbasis
 
@@ -178,12 +183,59 @@ def test_initial_rocof_identity():
         assert response_metrics(mix).initial_rocof_hz_s == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.fixture
+def defective(desk):
+    """A desk-day context whose A is defective: with the steam chest and
+    reheat lags equal and no steam online, -1/T_CH is a double eigenvalue
+    with one eigenvector. Scenario validation accepts it."""
+    s = replace(desk, dynamics=replace(desk.dynamics, steam_reheat_s=desk.dynamics.steam_chest_s))
+    assert validate_scenario(s) == []
+    context = fleet_mix(s, 12)
+    assert context.tech(TechClass.STEAM).online_mw == 0.0
+    return s, context
+
+
+def _rk4_metrics(mix):
+    return compute_metrics(simulate_response(assemble_state_space(mix)))
+
+
+def test_defective_a_takes_the_rk4_path_for_every_row(defective, monkeypatch):
+    s, context = defective
+    axis = SweepAxis(TechClass.COMBINED_CYCLE, 0.0, 1500.0, 300.0)
+    mixes = [context.with_capacity(axis.tech, float(mw)) for mw in axis.values()]
+    refs = [_rk4_metrics(mix) for mix in [context, *mixes]]
+    for mix in [context, *mixes]:
+        cond = fcuc.dynamics._eigenbasis(assemble_state_space(mix).a[None])[2][0]
+        assert cond > 1e10
+    rk4_calls = _counted_rk4(monkeypatch)
+    met = response_metrics(context)
+    grid = sweep_grid(SweepSpec((axis,), context, s.limits))
+    assert len(rk4_calls) == 1 + len(mixes)
+    assert met.nadir_hz == refs[0].nadir_hz
+    assert met.time_of_nadir_s == refs[0].time_of_nadir_s
+    assert met.initial_rocof_hz_s == refs[0].initial_rocof_hz_s
+    # the RK4 path reports the asymptote, as the modal path does
+    assert met.qss_dev_hz == pytest.approx(analytic_qss(context), abs=1e-9)
+    assert grid.nadir_hz.tolist() == [ref.nadir_hz for ref in refs[1:]]
+
+
+def test_rk4_fallback_is_logged_with_its_condition_number(defective, desk, caplog):
+    _, context = defective
+    with caplog.at_level(logging.DEBUG, logger="fcuc.dynamics"):
+        response_metrics(fleet_mix(desk, 12))
+        assert caplog.records == []
+        response_metrics(context)
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert "RK4 fallback" in record.getMessage()
+    cond = fcuc.dynamics._eigenbasis(assemble_state_space(context).a[None])[2][0]
+    assert f"condition {cond:.3g}" in record.getMessage()
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 
 def test_linearity_in_contingency():
-    from dataclasses import replace
-
     mix = _random_mix(random.Random(23))
     sys1 = assemble_state_space(mix)
     sys2 = assemble_state_space(replace(mix, contingency_mw=2.0 * mix.contingency_mw))

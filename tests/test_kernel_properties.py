@@ -1,8 +1,10 @@
 """Property tests for the numerical shortcuts of the batched modal kernel,
 each against its slow path: batching and chunking against a batch of one,
-the coarse/fine nadir search against the whole 1 ms grid, the two-table
-exponential against np.exp. Also the damping monotonicity that a cut learned
-at a bucket's lowest damping would rely on, confirmed by RK4 on a sample."""
+capacity rows over one context against a mix per row, the coarse/fine nadir
+search against the whole 1 ms grid, the two-table exponential against
+np.exp, the modal nadir against RK4. Also the damping monotonicity that a
+cut learned at a bucket's lowest damping would rely on, confirmed by RK4 on
+a sample."""
 
 import random
 from dataclasses import replace
@@ -18,12 +20,15 @@ from fcuc.dynamics import (
     compute_metrics,
     response_metrics,
     response_metrics_batch,
+    response_metrics_rows,
     simulate_response,
 )
-from oracles import make_mix
+from oracles import make_mix, validate_mix
 
 #: the nadir accuracy the kernel keeps (criteria 2-5 compare nadirs to it)
 NADIR_TOL_HZ = 1e-12
+#: modal against RK4 at 1 ms, as tests/test_dynamics.py's integrator check
+RK4_TOL_HZ = 1e-9
 #: relative error of the two-table exponential; the phase lam * t alone is
 #: rounded to about |lam t| * 1.1e-16 <= 1e-13 on these grids
 EXP_RTOL = 1e-12
@@ -54,6 +59,91 @@ def test_batch_is_independent_of_order_and_chunks(batch, rnd, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fcuc.dynamics, "CHUNK_MIXES", chunk)
         assert response_metrics_batch(batch) == alone
+
+
+@st.composite
+def contexts(draw):
+    """A mix from mixes() with each class's droop and inertia constant and
+    the governor lags drawn too, so the capacity-free block varies; its
+    contingency may be an int, as a scenario file can give it."""
+    mix = draw(mixes())
+    states = {
+        cls.value: replace(
+            mix.tech(cls),
+            droop=draw(st.one_of(st.just(0.0), st.floats(0.02, 0.1))),
+            inertia_h_s=draw(st.floats(1.0, 8.0)),
+        )
+        for cls in TechClass
+    }
+    dynamics = replace(
+        mix.dynamics,
+        steam_governor_s=draw(st.floats(0.1, 0.5)),
+        cc_lag_s=draw(st.floats(0.2, 2.0)),
+        hydro_water_s=draw(st.floats(0.5, 2.0)),
+        gfm_lag_s=draw(st.floats(0.02, 1.0)),
+    )
+    contingency = draw(st.one_of(st.just(mix.contingency_mw), st.integers(50, 300)))
+    return replace(mix, dynamics=dynamics, contingency_mw=contingency, **states)
+
+
+def _row_mixes(context, rows):
+    """The mix each capacity row stands for."""
+    return [context.with_capacities(dict(zip(TechClass, map(float, r)))) for r in rows]
+
+
+#: a capacity row (TechClass order) whose condensers keep the inertia above zero
+_ROW = st.tuples(*[st.floats(0.0, 2000.0)] * (len(TechClass) - 1), st.floats(50.0, 2000.0)).map(list)
+
+
+@settings(max_examples=30, deadline=None)
+@given(context=contexts(), rows=st.lists(_ROW, min_size=1, max_size=40))
+def test_capacity_rows_match_a_mix_per_row(context, rows):
+    mixes = _row_mixes(context, rows)
+    assert response_metrics_rows(context, np.array(rows)) == response_metrics_batch(mixes)
+    # the vectorised inertia sums 2H S in TechClass order, as OnlineMix does
+    assert [assemble_state_space(mix).inertia_mws for mix in mixes] == [
+        mix.system_inertia_mws for mix in mixes
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    context=contexts(),
+    rows=st.lists(
+        st.one_of(
+            st.lists(st.sampled_from([0.0, -1e-9, -40.0, 300.0]), min_size=6, max_size=6),
+            st.just([0.0] * 6),
+            _ROW,
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_a_bad_capacity_row_raises_what_validation_raises(context, rows):
+    mixes = _row_mixes(context, rows)
+    expected = None
+    for mix in mixes:
+        try:
+            validate_mix(mix)
+        except ValueError as exc:  # ZeroInertiaError is a ValueError
+            expected = exc
+            break
+    if expected is None:
+        assert len(response_metrics_rows(context, np.array(rows))) == len(rows)
+        return
+    for evaluate in (lambda: response_metrics_rows(context, np.array(rows)),
+                     lambda: response_metrics_batch(mixes)):
+        with pytest.raises(ValueError) as raised:
+            evaluate()
+        assert type(raised.value) is type(expected)
+        assert str(raised.value) == str(expected)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mix=mixes())
+def test_modal_nadir_matches_rk4(mix):
+    rk4 = compute_metrics(simulate_response(assemble_state_space(mix)))
+    assert response_metrics(mix).nadir_hz == pytest.approx(rk4.nadir_hz, abs=RK4_TOL_HZ)
 
 
 @settings(max_examples=40, deadline=None)
