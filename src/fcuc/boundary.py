@@ -4,8 +4,8 @@ Grid sweeps of the dynamic model classify online-capacity combinations as
 pass/fail against the nadir requirement; bisection finds the minimum
 stand-alone capacity per technology (edge points), every axis in
 lockstep; the hyperplane through the edge points becomes a linear cut,
-tightened until no failing lattice point satisfies it. Each lattice and
-each bisection step is one batch of capacity rows over one context.
+tightened until no failing lattice point satisfies it. A lattice, or three
+halvings of the bisection, is one batch of capacity rows over one context.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
 DEFAULT_GRANULARITY_MW = 50.0
 BISECT_TOL_MW = 1.0  # edge-point resolution
 EDGE_HI_MW = 20000.0  # default top of the edge-point search window
+_SPECULATION_DEPTH = 3  # bisection halvings evaluated per batch, speculatively
 
 
 class BracketingError(ValueError):
@@ -155,10 +156,10 @@ def _bisect_axes(
 ) -> dict[TechClass, float | None]:
     """Bisect every axis on [lo_mw, hi_mw] in lockstep, the other
     capacities as in context: one batch of capacity rows for the window
-    ends, then one batch of midpoints per halving. Each axis maps to its
-    edge in MW, lo_mw when it already complies there, or None when its
-    window does not bracket the nadir boundary. Relies on pass-region
-    monotonicity.
+    ends, then one batch per _SPECULATION_DEPTH halvings, holding every
+    midpoint they could visit. Each axis maps to its edge in MW, lo_mw when
+    it already complies there, or None when its window does not bracket the
+    nadir boundary. Relies on pass-region monotonicity.
     """
     if tol_mw <= 0:
         raise ValueError("tol_mw must be > 0")
@@ -180,21 +181,21 @@ def _bisect_axes(
     lo_ok, hi_ok = ends[:len(lows)], ends[len(lows):]
     if shared_lo:
         lo_ok = lo_ok.repeat(len(techs))
-    found: dict[TechClass, float | None] = {}
-    windows: dict[TechClass, list[float]] = {}
-    for tech, lo_pass, hi_pass in zip(techs, lo_ok, hi_ok):
-        if lo_pass and hi_pass:
-            found[tech] = lo_mw
-        elif not hi_pass:
-            found[tech] = None
-        else:
-            windows[tech] = [lo_mw, hi_mw]
-    while active := [t for t, (lo, hi) in windows.items() if hi - lo > tol_mw]:
-        mids = [0.5 * (windows[t][0] + windows[t][1]) for t in active]
-        for tech, mid, ok in zip(active, mids, passes(active, mids)):
-            windows[tech][1 if ok else 0] = mid
-    found.update((t, hi) for t, (_, hi) in windows.items())
-    return {t: found[t] for t in techs}
+    found = {t: lo_mw if hi else None for t, lo, hi in zip(techs, lo_ok, hi_ok) if lo or not hi}
+    windows = {t: (lo_mw, hi_mw) for t, lo, hi in zip(techs, lo_ok, hi_ok) if hi and not lo}
+    while any(hi - lo > tol_mw for lo, hi in windows.values()):
+        # the windows of the next halvings, a tree pruned where one is within tol_mw
+        nodes, level = [], list(windows.items())
+        for _ in range(_SPECULATION_DEPTH):
+            nodes += (level := [(t, (lo, hi)) for t, (lo, hi) in level if hi - lo > tol_mw])
+            level = [(t, w) for t, (lo, hi) in level
+                     for w in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+        mids = [0.5 * (lo + hi) for _, (lo, hi) in nodes]
+        # level by level, the one node per level that is an axis's window halves it
+        for (tech, (lo, hi)), ok in zip(nodes, passes([t for t, _ in nodes], mids)):
+            if windows[tech] == (lo, hi):
+                windows[tech] = (lo, 0.5 * (lo + hi)) if ok else (0.5 * (lo + hi), hi)
+    return {t: windows[t][1] if t in windows else found[t] for t in techs}
 
 
 def bisect_min_capacity(

@@ -1,7 +1,8 @@
 """Center-of-inertia frequency dynamics: state-space assembly, RK4
-integration, and metric extraction by one batched modal kernel
-(response_metrics_batch over mixes, response_metrics_rows over capacity
-rows of one context; response_metrics is a batch of one).
+integration (the oracle and the trace exporter), and metric extraction by
+one batched zero-order-hold kernel (response_metrics_batch over mixes,
+response_metrics_rows over capacity rows of one context; response_metrics
+is a batch of one).
 
 The model aggregates every frequency-responsive technology into one swing
 equation. Governor paths:
@@ -17,11 +18,11 @@ All frequency deviations are per-unit (delta = df / f0); powers are MW.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
 from operator import attrgetter
 
 import numpy as np
@@ -84,8 +85,6 @@ DEFAULT_INERTIA_H = {
 
 
 _STATES = attrgetter(*(c.value for c in TechClass))  # OnlineMix fields, in TechClass order
-
-_log = logging.getLogger(__name__)
 
 
 class ZeroInertiaError(ValueError):
@@ -200,7 +199,7 @@ class _Block:
     leading index: everything that depends only on droops, inertia constants
     and DynamicParams. _assemble adds the online capacities, one row each."""
 
-    a: np.ndarray  # (c, 8, 8) rows 1-7 of A; the swing row is zero
+    a: np.ndarray  # (c, 9, 9) rows 1-7 of M = [[A, b], [0, 0]]; the swing row is zero
     mech: np.ndarray  # (c, 4, 8) mechanical power rows per MW of class capacity, GOVERNOR_CLASSES order
     two_h: np.ndarray  # (c, 6) 2H per class, TechClass order
     damping: np.ndarray  # (c,)
@@ -213,25 +212,13 @@ class _Block:
 class _Systems:
     """The state-space models of a stack of mixes, one per leading index."""
 
-    a: np.ndarray  # (n, 8, 8)
-    b: np.ndarray  # (n, 8); only the swing row is non-zero
+    aug: np.ndarray  # (n, 9, 9) M = [[A, b], [0, 0]]: [x; 1]' = M [x; 1]
+    a: np.ndarray  # (n, 8, 8), a view of aug
+    b: np.ndarray  # (n, 8), a view of aug; only the swing row is non-zero
     mech: np.ndarray  # (n, 4, 8) MW mechanical power rows, GOVERNOR_CLASSES order
     inertia_mws: np.ndarray  # (n,)
     contingency_mw: np.ndarray
     nominal_freq_hz: np.ndarray
-
-    def system(self, i: int) -> LinearSystem:
-        c = np.zeros(self.a.shape[-1])
-        c[0] = 1.0
-        return LinearSystem(
-            a=self.a[i],
-            b=self.b[i],
-            c_freq=c,
-            mech_rows={cls: self.mech[i, k] for k, cls in enumerate(GOVERNOR_CLASSES)},
-            inertia_mws=float(self.inertia_mws[i]),
-            contingency_mw=float(self.contingency_mw[i]),
-            nominal_freq_hz=float(self.nominal_freq_hz[i]),
-        )
 
 
 def _capacities(mixes: Sequence[OnlineMix]) -> np.ndarray:
@@ -249,7 +236,7 @@ def _block(contexts: Sequence[OnlineMix]) -> _Block:
     on their class capacity; the swing row scales them to MW.
     """
     c, k = len(contexts), len(TechClass)
-    a = np.zeros((c, 8, 8))
+    a = np.zeros((c, 9, 9))
     mech = np.zeros((c, len(GOVERNOR_CLASSES), 8))
     # 2H per class, then damping, contingency and f0
     consts = np.array([
@@ -313,22 +300,23 @@ def _assemble(block: _Block, caps: np.ndarray) -> _Systems:
     """The models of a block's contexts with online capacities caps, (n, 6)
     MW in TechClass order: a block of one context serves every row, else
     row i is context i's. Raises the first row's error, in row order: a
-    negative capacity (ValueError), or a disturbance on zero inertia
-    (ZeroInertiaError).
+    negative or non-finite capacity (ValueError), or a disturbance on zero
+    inertia (ZeroInertiaError).
     """
     n = len(caps)
     per_context = n // len(block.a)  # rows per context: n or 1
-    # m = sum of 2H S over the classes, added in TechClass order
+    bad = ~(caps >= 0) | ~np.isfinite(caps)  # negative, NaN or infinite
+    # m = sum of 2H S over the classes, added in TechClass order (a bad
+    # capacity counts as 0 here: it is reported below, and inf * 0 is NaN)
     m = np.zeros(n)
-    for inertia in (block.two_h * caps).T:
+    for inertia in (block.two_h * np.where(bad, 0.0, caps)).T:
         m = m + inertia
     contingency = block.contingency_mw.repeat(per_context)
-    negative = caps < 0
     zero_inertia = (contingency > 0) & (m <= 0)
-    if negative.any() or zero_inertia.any():
-        i = int(np.argmax(negative.any(axis=1) | zero_inertia))
-        if negative[i].any():
-            cls = list(TechClass)[int(np.argmax(negative[i]))]
+    if bad.any() or zero_inertia.any():
+        i = int(np.argmax(bad.any(axis=1) | zero_inertia))
+        if bad[i].any():
+            cls = list(TechClass)[int(np.argmax(bad[i]))]
             raise ValueError(f"{cls.value}: online capacity must be >= 0")
         raise ZeroInertiaError(
             "cannot disturb a zero-inertia system "
@@ -343,15 +331,28 @@ def _assemble(block: _Block, caps: np.ndarray) -> _Systems:
     # identically zero and A's first row stays zero
     disturbed = m > 0
     m_safe = np.where(disturbed, m, 1.0)
-    a[:, 0, :] = np.where(disturbed[:, None], swing / m_safe[:, None], 0.0)
-    b = np.zeros((n, 8))
-    b[:, 0] = np.where(disturbed, -contingency / m_safe, 0.0)
-    return _Systems(a, b, mech, m, contingency, block.nominal_freq_hz.repeat(per_context))
+    a[:, 0, :8] = np.where(disturbed[:, None], swing / m_safe[:, None], 0.0)
+    a[:, 0, 8] = np.where(disturbed, -contingency / m_safe, 0.0)
+    return _Systems(
+        a, a[:, :8, :8], a[:, :8, 8], mech, m, contingency,
+        block.nominal_freq_hz.repeat(per_context),
+    )
 
 
 def assemble_state_space(mix: OnlineMix) -> LinearSystem:
     """The aggregate swing + governor model of one online mix (see _block)."""
-    return _assemble(_block([mix]), _capacities([mix])).system(0)
+    sys = _assemble(_block([mix]), _capacities([mix]))
+    c = np.zeros(sys.a.shape[-1])
+    c[0] = 1.0
+    return LinearSystem(
+        a=sys.a[0],
+        b=sys.b[0],
+        c_freq=c,
+        mech_rows={cls: sys.mech[0, k] for k, cls in enumerate(GOVERNOR_CLASSES)},
+        inertia_mws=float(sys.inertia_mws[0]),
+        contingency_mw=float(sys.contingency_mw[0]),
+        nominal_freq_hz=float(sys.nominal_freq_hz[0]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,105 +419,111 @@ def simulate_response(
 
 
 # ---------------------------------------------------------------------------
-# batched modal kernel
+# batched zero-order-hold kernel
 
-#: mixes per stacked evaluation; it bounds the kernel's temporaries (about
-#: 1.2 MB at the peak of a 343-mix batch)
+#: mixes per stacked evaluation; it bounds the kernel's temporaries
 CHUNK_MIXES = 32
 
+#: Taylor degree of _expm1, and the 1-norm it scales every matrix below:
+#: the truncation error theta**13 / 13! is then under the unit roundoff
+_EXPM_DEGREE = 12
+_EXPM_THETA = 0.3
 
-def _eigenbasis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues (n, 8), eigenvectors (n, 8, 8) and the eigenvector
-    condition number (n,) of each A of a stack; inf where A has no
-    decomposition. The modal solution refuses a near-defective A (condition
-    above 1e10, or not finite); its mix falls back to RK4.
+
+def _expm1(x: np.ndarray) -> np.ndarray:
+    """exp(x) - I of each matrix of a stack (n, k, k): scaling and squaring
+    of the degree-12 Taylor polynomial in Horner form. Each matrix is scaled
+    by its own 1-norm, so its result does not depend on the stack."""
+    norm = np.abs(x).sum(axis=1).max(axis=1)
+    s = np.maximum(np.frexp(norm / _EXPM_THETA)[1], 0)  # norm / 2**s < theta
+    x = np.ldexp(x, -s[:, None, None])
+    # exp(x) - I = x (c_0 I + x (c_1 I + ... + x c_11 I)) with c_j = 1 / (j + 1)!
+    eye = np.eye(x.shape[-1])
+    c = 1.0 / np.cumprod(np.arange(1.0, _EXPM_DEGREE + 1))
+    ci = np.multiply.outer(c, eye)
+    t = ci[-2] + c[-1] * x
+    for j in range(_EXPM_DEGREE - 3, -1, -1):
+        t = ci[j] + x @ t
+    e = x @ t
+    for j in range(int(s.max(initial=0))):  # squaring, as in _squares
+        sq = e @ (e + 2.0 * eye)
+        e = sq if j < s.min() else np.where((s > j)[:, None, None], sq, e)
+    return e
+
+
+def _squares(e: np.ndarray, count: int) -> list[np.ndarray]:
+    """g - I for g = h, h^2, h^4, ... (count of them, at least one), from
+    e = h - I: a propagator is close to I, and (I + e)(I + f) = I + (e + f
+    + e f) loses no digit of e to the unit diagonal."""
+    out, two = [e], 2.0 * np.eye(e.shape[-1])
+    while len(out) < count:
+        out.append(out[-1] @ (out[-1] + two))  # (I + g)^2 - I = g (g + 2 I)
+    return out
+
+
+def _power(squares: list[np.ndarray], n: int) -> np.ndarray:
+    """h^n - I (n >= 1), the product of the squares of h that n's bits pick."""
+    return reduce(lambda e, f: e + f + e @ f, [g for i, g in enumerate(squares) if n >> i & 1])
+
+
+def _doubling(squares: list[np.ndarray], t: np.ndarray, count: int) -> np.ndarray:
+    """The columns of t (n, k, c), then g t, g^2 t, ..., to count columns in
+    all, built by doubling from the squares of g."""
+    for g in squares:
+        if t.shape[2] >= count:
+            break
+        t = np.concatenate([t, t + g @ t], axis=2)
+    return t[:, :, :count]
+
+
+def _sample_search(e: np.ndarray, nsteps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample-grid minimum of delta(k step) = e1 . p^k e9 over k <= nsteps,
+    for the one-step propagators p = I + e of a chunk of rows.
+
+    A coarse pass over every stride-th sample (stride ~ nsteps/600, plus the
+    horizon sample), then a fine pass over every sample within two coarse
+    samples of the coarse minimum. The response is smooth (a sum of a few
+    modes), so the fine window brackets the minimum of the whole grid.
+    Returns the minimum delta, its sample index and the horizon sample;
+    raises SimulationDiverged if an evaluated sample is not finite.
+
+    Coarse sample B q + r of K, B = isqrt(K - 1) + 1, is the first row of
+    h^q times s^r e9, s = p^stride, h = s^B: two tables built by doubling,
+    one matmul per row. Fine sample lo + stride a + c, lo = stride (B q + r),
+    is that row times p^c, built by doubling, times s^(r + a) e9. B depends
+    on the grid alone, so a row's samples do not depend on its chunk.
     """
-    try:
-        lam, v = np.linalg.eig(a)
-        cond = np.linalg.cond(v)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            n = a.shape[-1]
-            return np.zeros((1, n), complex), np.eye(n, dtype=complex)[None], np.full(1, np.inf)
-        # factor each A alone, so only the one that failed is refused
-        parts = [_eigenbasis(x[None]) for x in a]
-        return tuple(np.concatenate(p) for p in zip(*parts))  # type: ignore[return-value]
-    return lam.astype(complex), v.astype(complex), cond
-
-
-def _exp_tables(
-    lam: np.ndarray, start: np.ndarray, dt: float, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two short tables whose products give exp(lam (start + k dt)) for
-    k = B q + r < count, with B = ceil(sqrt(count)): exp(lam (start + B q dt)),
-    shape (n, Q, modes), and exp(lam r dt), shape (n, B, modes). That is
-    about 2 sqrt(count) complex exponentials per mode instead of count. B
-    depends on count alone, so a mix's samples do not depend on its chunk.
-    """
+    n, k = e.shape[:2]
+    stride = max(1, nsteps // 600)
+    width = 4 * stride + 1  # every fine window is padded to the widest one
+    coarse_idx = np.arange(0, nsteps + 1, stride)
+    count = len(coarse_idx)
     blk = math.isqrt(count - 1) + 1
     rows = -(-count // blk)
-    outer = np.exp(lam[:, None, :] * (start[:, None] + blk * dt * np.arange(rows))[:, :, None])
-    inner = np.exp(lam[:, None, :] * (dt * np.arange(blk))[None, :, None])
-    return outer, inner
-
-
-def _grid_delta(
-    lam: np.ndarray, gain: np.ndarray, ramp: np.ndarray, start: np.ndarray, dt: float, count: int
-) -> np.ndarray:
-    """delta(t) = Re sum_i gain_i (exp(lam_i t) - 1) + ramp t at t = start + k dt,
-    k < count, shape (n, count).
-
-    With exp(lam t) = outer_q inner_r, the sum over the modes is one real
-    matmul per mix: Re sum_i (gain_i outer_qi) inner_ri.
-    """
-    outer, inner = _exp_tables(lam, start, dt, count)
-    w = gain[:, None, :] * outer
-    grid = np.concatenate([w.real, -w.imag], axis=2) @ np.concatenate(
-        [inner.real, inner.imag], axis=2
-    ).transpose(0, 2, 1)
-    t = start[:, None] + dt * np.arange(count)
-    return grid.reshape(len(lam), -1)[:, :count] - gain.sum(axis=1).real[:, None] + ramp[:, None] * t
-
-
-def _nadir_search(
-    lam: np.ndarray, v: np.ndarray, b0: np.ndarray, nsteps: int, step: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sample-grid minimum of the modal step response of a chunk of mixes.
-
-    A coarse pass over every stride-th sample of the grid (stride ~ nsteps/600,
-    plus the horizon sample), then a fine pass over every sample within two
-    coarse samples of the coarse minimum. The response is smooth (a sum of a
-    few modes), so the fine window brackets the minimum of the whole grid.
-    Returns the minimum delta, its sample index, the horizon sample, and
-    whether every evaluated sample is finite.
-    """
-    n, k = lam.shape
-    # x(t) = V diag((exp(lam t) - 1)/lam) V^-1 b; delta is its first entry
-    rhs = np.zeros((n, k, 1), complex)
-    rhs[:, 0, 0] = b0
-    coef = v[:, 0, :] * np.linalg.solve(v, rhs)[..., 0]
-    zero = np.abs(lam) <= 1e-12  # (exp(lam t) - 1)/lam -> t
-    gain = np.where(zero, 0.0, coef / np.where(zero, 1.0, lam))
-    ramp = np.where(zero, coef, 0.0).sum(axis=1).real
-
-    stride = max(1, nsteps // 600)
-    coarse_idx = np.arange(0, nsteps + 1, stride)
-    coarse = _grid_delta(lam, gain, ramp, np.zeros(n), stride * step, len(coarse_idx))
+    p_sq = _squares(e, stride.bit_length())
+    s_sq = _squares(_power(p_sq, stride), (blk + 4).bit_length())
+    h_sq = _squares(_power(s_sq, blk), (rows - 1).bit_length())
+    start = np.eye(k)[None, :, -1:].repeat(n, axis=0)  # x = 0 and the unit input
+    right = _doubling(s_sq, start, blk + 4)  # 4 columns more for the fine pass
+    left = _doubling([g.transpose(0, 2, 1) for g in h_sq], start[:, ::-1], rows).transpose(0, 2, 1)
+    coarse = (left @ right[:, :, :blk]).reshape(n, -1)[:, :count]
     if coarse_idx[-1] != nsteps:  # the horizon sample closes the coarse grid
         coarse_idx = np.append(coarse_idx, nsteps)
-        tail = _grid_delta(lam, gain, ramp, np.full(n, nsteps * step), step, 1)
-        coarse = np.concatenate([coarse, tail], axis=1)
+        coarse = np.c_[coarse, _power(_squares(e, nsteps.bit_length()), nsteps)[:, 0, -1]]
     j = np.argmin(coarse, axis=1)
     lo = coarse_idx[np.maximum(j - 2, 0)]
     hi = coarse_idx[np.minimum(j + 2, len(coarse_idx) - 1)]
 
-    # every window is padded to the widest possible one, 4 strides + 1
-    width = 4 * stride + 1
-    fine = _grid_delta(lam, gain, ramp, lo * step, step, width)
+    q, r = np.divmod(lo // stride, blk)
+    each = np.arange(n)
+    cols = right[each[:, None], :, r[:, None] + np.arange(5)].transpose(0, 2, 1)
+    advanced = _doubling([g.transpose(0, 2, 1) for g in p_sq], left[each, q][:, :, None], stride)
+    fine = (advanced.transpose(0, 2, 1) @ cols).transpose(0, 2, 1).reshape(n, -1)[:, :width]
     inside = lo[:, None] + np.arange(width) <= hi[:, None]
-    finite = np.isfinite(coarse).all(axis=1) & np.isfinite(np.where(inside, fine, 0.0)).all(axis=1)
+    if not (np.isfinite(coarse).all() and np.isfinite(fine[inside]).all()):
+        raise SimulationDiverged(f"non-finite response on the {nsteps}-sample grid")
     i = np.argmin(np.where(inside, fine, np.inf), axis=1)
-    return fine[np.arange(n), i], lo + i, coarse[:, -1], finite
+    return fine[each, i], lo + i, coarse[:, -1]
 
 
 def _qss_pu(a: np.ndarray, b: np.ndarray, horizon_pu: np.ndarray) -> np.ndarray:
@@ -539,24 +546,12 @@ def _chunk_metrics(
     sample grid (horizon, step)."""
     n = len(caps)
     systems = _assemble(block, caps)
-    lam, v, cond = _eigenbasis(systems.a)
-    modal = cond <= 1e10  # False for nan and inf
-    nadir_pu, nadir_s, horizon_pu = np.empty(n), np.empty(n), np.empty(n)
-    rows = np.flatnonzero(modal)
-    if rows.size:
-        nadir_pu[rows], k, horizon_pu[rows], modal[rows] = _nadir_search(
-            lam[rows], v[rows], systems.b[rows, 0], int(round(horizon / step)), step
+    # zero-order hold: exp(step M) advances [x; 1] one sample exactly, for
+    # any A; an unstable system overflows, and _sample_search raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        nadir_pu, nadir_k, horizon_pu = _sample_search(
+            _expm1(step * systems.aug), int(round(horizon / step))
         )
-        nadir_s[rows] = k * step
-    for i in np.flatnonzero(~modal):
-        # near-defective eigenbasis: RK4 supplies every sample
-        _log.debug(
-            "RK4 fallback for capacity row %s MW: eigenvector condition %.3g",
-            caps[i].tolist(), cond[i],
-        )
-        delta = simulate_response(systems.system(i), horizon, step).delta_pu
-        j = int(np.argmin(delta))
-        nadir_pu[i], nadir_s[i], horizon_pu[i] = delta[j], j * step, delta[-1]
     f0, m = systems.nominal_freq_hz, systems.inertia_mws
     # zero inertia is only valid with no disturbance (_assemble), so then delta == 0
     rocof = np.divide(systems.contingency_mw * f0, m, out=np.zeros(n), where=m > 0)
@@ -568,7 +563,8 @@ def _chunk_metrics(
     return [
         FrequencyMetrics(nadir_hz=nd, initial_rocof_hz_s=rc, qss_dev_hz=qs, time_of_nadir_s=ts)
         for nd, rc, qs, ts in zip(
-            (f0 + f0 * nadir_pu).tolist(), rocof.tolist(), qss.tolist(), nadir_s.tolist()
+            (f0 + f0 * nadir_pu).tolist(), rocof.tolist(), qss.tolist(),
+            (nadir_k * step).tolist(),
         )
     ]
 
@@ -576,12 +572,11 @@ def _chunk_metrics(
 def response_metrics_batch(mixes: Sequence[OnlineMix]) -> list[FrequencyMetrics]:
     """Metrics of the post-contingency response of every mix, in order.
 
-    Nadir and its time come from the exact modal solution sampled on the
-    same grid as simulate_response, evaluated for CHUNK_MIXES mixes at a
-    time, or from the RK4 trace itself for a mix whose eigenbasis is
-    ill-conditioned. RoCoF and the QSS deviation (the exact asymptote, DC
-    gain) are computed the same way on both paths. Each mix's metrics are
-    the same whatever batch it is evaluated in.
+    Nadir and its time come from the exact zero-order-hold propagation of
+    the step response, sampled on the same grid as simulate_response and
+    evaluated for CHUNK_MIXES mixes at a time; RoCoF is dPe f0 / m and the
+    QSS deviation the exact asymptote (DC gain). Each mix's metrics are the
+    same whatever batch it is evaluated in.
     """
     mixes = list(mixes)
     grids: dict[tuple[float, float], list[int]] = {}

@@ -14,6 +14,7 @@ fast paths are checked against. Nothing in `fcuc` imports this module.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -62,10 +63,11 @@ def make_mix(
 
 
 def validate_mix(mix: OnlineMix) -> None:
-    """ValueError for a negative class capacity (the first in TechClass
-    order), else ZeroInertiaError for a disturbance on zero inertia."""
+    """ValueError for a negative or non-finite class capacity (the first in
+    TechClass order), else ZeroInertiaError for a disturbance on zero
+    inertia."""
     for cls, state in zip(TechClass, mix.states()):
-        if state.online_mw < 0:
+        if not 0 <= state.online_mw < math.inf:
             raise ValueError(f"{cls.value}: online capacity must be >= 0")
     if mix.contingency_mw > 0 and mix.system_inertia_mws <= 0:
         raise ZeroInertiaError(

@@ -1,5 +1,6 @@
 """Compliance-boundary learning: sweeps, bisection, cuts, conservativeness."""
 
+import math
 import random
 
 import numpy as np
@@ -206,8 +207,10 @@ def test_edge_points_bisect_in_lockstep_from_one_base(monkeypatch):
     while width > 1.0:
         width, halvings = width / 2, halvings + 1
     assert sum(mix == base for mixes in batches for mix in mixes) == 1
-    assert len(batches) <= 2 + halvings
-    assert all(len(mixes) <= len(axes) for mixes in batches[1:])
+    # the window ends, then one batch per three halvings: a depth-3 tree of
+    # midpoints, at most 7 per axis
+    assert len(batches) <= 2 + math.ceil(halvings / 3)
+    assert all(len(mixes) <= 7 * len(axes) for mixes in batches[1:])
     # every edge is bit-identical to the serial one-axis bisection
     monkeypatch.undo()
     assert edges == {t: _serial_bisection(t, base, 0.0, 6000.0, 1.0) for t in axes}

@@ -66,6 +66,18 @@ def test_simulate_override_changes_metrics(desk_path, capsys):
     assert nadir(boosted) > nadir(base)
 
 
+@pytest.mark.parametrize("mw", ["nan", "inf", "-inf"])
+def test_a_non_finite_capacity_is_a_usage_error(desk_path, capsys, mw):
+    assert main(["simulate", "--scenario", desk_path, "--override", f"steam={mw}"]) == 1
+    assert main([
+        "study", "equivalence", "--scenario", desk_path, "--tech-a", "gfm",
+        "--tech-b", "condenser", "--backdrop", f"hydro_reservoir={mw}",
+    ]) == 1
+    out, err = capsys.readouterr()
+    assert "compliant" not in out
+    assert err.count("online capacity must be >= 0") == 2
+
+
 def test_boundary(desk_path, capsys, tmp_path):
     grid = tmp_path / "grid.tsv"
     cut = tmp_path / "cut.json"

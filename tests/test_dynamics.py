@@ -1,6 +1,5 @@
 """Dynamic-model tests: integrator oracle, metric identities, orderings."""
 
-import logging
 import math
 import random
 import time
@@ -14,6 +13,7 @@ from fcuc.dynamics import (
     DEFAULT_INERTIA_H,
     GOVERNOR_CLASSES,
     DynamicParams,
+    SimulationDiverged,
     TechClass,
     ZeroInertiaError,
     assemble_state_space,
@@ -74,18 +74,6 @@ def test_integrator_matches_modal_solution():
         assert met_fast.time_of_nadir_s == pytest.approx(met_trace.time_of_nadir_s, abs=1e-9)
 
 
-def _refusing_eigenbasis(refuse):
-    """The batch's eigenbasis, refusing also every A for which refuse(A)
-    holds: its condition number reads inf."""
-    usable = fcuc.dynamics._eigenbasis
-
-    def eigenbasis(a):
-        lam, v, cond = usable(a)
-        return lam, v, np.where([refuse(x) for x in a], np.inf, cond)
-
-    return eigenbasis
-
-
 def _counted_rk4(monkeypatch):
     calls = []
     rk4 = fcuc.dynamics.simulate_response
@@ -96,40 +84,6 @@ def _counted_rk4(monkeypatch):
 
     monkeypatch.setattr(fcuc.dynamics, "simulate_response", counted_rk4)
     return calls
-
-
-def test_rk4_fallback_reports_the_modal_qss_and_nadir(monkeypatch):
-    # with the eigenbasis refused, RK4 supplies the samples; RoCoF and the
-    # QSS asymptote must not depend on which path produced them
-    rng = random.Random(17)
-    mixes = [_random_mix(rng) for _ in range(3)]
-    modal = [response_metrics(mix) for mix in mixes]
-    monkeypatch.setattr(fcuc.dynamics, "_eigenbasis", _refusing_eigenbasis(lambda a: True))
-    rk4_calls = _counted_rk4(monkeypatch)
-    for mix, ref in zip(mixes, modal):
-        met = response_metrics(mix)
-        assert met.qss_dev_hz == pytest.approx(ref.qss_dev_hz, abs=1e-12)
-        assert met.nadir_hz == pytest.approx(ref.nadir_hz, abs=1e-6)
-        assert met.initial_rocof_hz_s == ref.initial_rocof_hz_s
-    assert len(rk4_calls) == len(mixes)
-
-
-def test_a_refused_mix_falls_back_alone(monkeypatch):
-    # one refused eigenbasis in a batch: that mix alone goes to RK4, and the
-    # others keep their batch-of-one results exactly
-    rng = random.Random(19)
-    mixes = [_random_mix(rng) for _ in range(5)]
-    alone = [response_metrics(mix) for mix in mixes]
-    refused = assemble_state_space(mixes[2]).a
-    monkeypatch.setattr(
-        fcuc.dynamics, "_eigenbasis", _refusing_eigenbasis(lambda a: np.array_equal(a, refused))
-    )
-    rk4_calls = _counted_rk4(monkeypatch)
-    batch = response_metrics_batch(mixes)
-    assert len(rk4_calls) == 1
-    assert batch[:2] + batch[3:] == alone[:2] + alone[3:]
-    assert batch[2].nadir_hz == pytest.approx(alone[2].nadir_hz, abs=1e-6)
-    assert batch[2].qss_dev_hz == alone[2].qss_dev_hz
 
 
 # ---------------------------------------------------------------------------
@@ -195,41 +149,44 @@ def defective(desk):
     return s, context
 
 
-def _rk4_metrics(mix):
-    return compute_metrics(simulate_response(assemble_state_space(mix)))
-
-
 def test_defective_a_takes_the_rk4_path_for_every_row(defective, monkeypatch):
+    # every row of the defective context against RK4: the kernel is exact
+    # for a defective A, and it never calls the integrator
     s, context = defective
     axis = SweepAxis(TechClass.COMBINED_CYCLE, 0.0, 1500.0, 300.0)
     mixes = [context.with_capacity(axis.tech, float(mw)) for mw in axis.values()]
-    refs = [_rk4_metrics(mix) for mix in [context, *mixes]]
-    for mix in [context, *mixes]:
-        cond = fcuc.dynamics._eigenbasis(assemble_state_space(mix).a[None])[2][0]
-        assert cond > 1e10
+    for mix in [context, *mixes]:  # every row's A is (numerically) defective
+        assert np.linalg.cond(np.linalg.eig(assemble_state_space(mix).a)[1]) > 1e10
+    traces = [simulate_response(assemble_state_space(mix)) for mix in [context, *mixes]]
     rk4_calls = _counted_rk4(monkeypatch)
     met = response_metrics(context)
     grid = sweep_grid(SweepSpec((axis,), context, s.limits))
-    assert len(rk4_calls) == 1 + len(mixes)
-    assert met.nadir_hz == refs[0].nadir_hz
-    assert met.time_of_nadir_s == refs[0].time_of_nadir_s
-    assert met.initial_rocof_hz_s == refs[0].initial_rocof_hz_s
-    # the RK4 path reports the asymptote, as the modal path does
+    batch = response_metrics_batch(mixes)
+    assert rk4_calls == []
+    timed = 0
+    for got, trace in zip([met, *batch], traces):
+        ref = compute_metrics(trace)
+        assert got.nadir_hz == pytest.approx(ref.nadir_hz, abs=1e-9)
+        assert got.initial_rocof_hz_s == ref.initial_rocof_hz_s
+        # without CC online only damping arrests the fall, and the response
+        # ends on a plateau where the time of the minimum is rounding noise
+        if ref.nadir_hz < trace.nominal_freq_hz * (1.0 + trace.delta_pu[-1]) - 1e-9:
+            assert got.time_of_nadir_s == ref.time_of_nadir_s
+            timed += 1
+    assert timed == len(mixes) - 1  # every row with CC online
+    assert grid.nadir_hz.tolist() == [m.nadir_hz for m in batch]
     assert met.qss_dev_hz == pytest.approx(analytic_qss(context), abs=1e-9)
-    assert grid.nadir_hz.tolist() == [ref.nadir_hz for ref in refs[1:]]
 
 
-def test_rk4_fallback_is_logged_with_its_condition_number(defective, desk, caplog):
+def test_defective_context_evaluates_in_milliseconds(defective):
+    # RK4 takes about 90 ms a row on this context, about 2.9 s for 32 rows;
+    # the kernel takes milliseconds, and the bound leaves room for a slow host
     _, context = defective
-    with caplog.at_level(logging.DEBUG, logger="fcuc.dynamics"):
-        response_metrics(fleet_mix(desk, 12))
-        assert caplog.records == []
-        response_metrics(context)
-    (record,) = caplog.records
-    assert record.levelno == logging.DEBUG
-    assert "RK4 fallback" in record.getMessage()
-    cond = fcuc.dynamics._eigenbasis(assemble_state_space(context).a[None])[2][0]
-    assert f"condition {cond:.3g}" in record.getMessage()
+    mixes = [context.with_capacity(TechClass.COMBINED_CYCLE, 50.0 * i) for i in range(32)]
+    response_metrics_batch(mixes)
+    t0 = time.perf_counter()
+    response_metrics_batch(mixes)
+    assert time.perf_counter() - t0 < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +205,17 @@ def test_zero_inertia_rejected():
     mix = make_mix(capacities_mw={}, load_damping_mw_per_pu=500.0, contingency_mw=50.0)
     with pytest.raises(ZeroInertiaError):
         assemble_state_space(mix)
+
+
+def test_an_unstable_response_raises_diverged():
+    # negative damping makes the swing equation grow past the float range
+    mix = make_mix(
+        capacities_mw={TechClass.CONDENSER: 50.0},
+        load_damping_mw_per_pu=-1e5,
+        contingency_mw=100.0,
+    )
+    with pytest.raises(SimulationDiverged):
+        response_metrics(mix)
 
 
 def test_zero_inertia_without_disturbance_has_flat_response():

@@ -1,16 +1,19 @@
-"""Property tests for the numerical shortcuts of the batched modal kernel,
-each against its slow path: batching and chunking against a batch of one,
-capacity rows over one context against a mix per row, the coarse/fine nadir
-search against the whole 1 ms grid, the two-table exponential against
-np.exp, the modal nadir against RK4. Also the damping monotonicity that a
-cut learned at a bucket's lowest damping would rely on, confirmed by RK4 on
-a sample."""
+"""Property tests for the numerical shortcuts of the batched zero-order-hold
+kernel, each against its slow path: batching and chunking against a batch of
+one, capacity rows over one context against a mix per row, the coarse/fine
+nadir search against the whole 1 ms grid, the stacked exponential against
+scipy's one matrix at a time, the doubling power tables against repeated
+multiplication, the kernel's nadir against RK4 (also with nearly equal steam
+lags, where A is close to defective), and a non-finite capacity against
+validation. Also the damping monotonicity that a cut learned at a bucket's
+lowest damping would rely on, confirmed by RK4 on a sample."""
 
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import fcuc.dynamics
@@ -27,11 +30,8 @@ from oracles import make_mix, validate_mix
 
 #: the nadir accuracy the kernel keeps (criteria 2-5 compare nadirs to it)
 NADIR_TOL_HZ = 1e-12
-#: modal against RK4 at 1 ms, as tests/test_dynamics.py's integrator check
+#: the kernel against RK4 at 1 ms, as tests/test_dynamics.py's integrator check
 RK4_TOL_HZ = 1e-9
-#: relative error of the two-table exponential; the phase lam * t alone is
-#: rounded to about |lam t| * 1.1e-16 <= 1e-13 on these grids
-EXP_RTOL = 1e-12
 
 
 @st.composite
@@ -111,7 +111,9 @@ def test_capacity_rows_match_a_mix_per_row(context, rows):
     context=contexts(),
     rows=st.lists(
         st.one_of(
-            st.lists(st.sampled_from([0.0, -1e-9, -40.0, 300.0]), min_size=6, max_size=6),
+            st.lists(
+                st.sampled_from([0.0, -1e-9, -40.0, 300.0, np.nan, np.inf]), min_size=6, max_size=6
+            ),
             st.just([0.0] * 6),
             _ROW,
         ),
@@ -141,15 +143,28 @@ def test_a_bad_capacity_row_raises_what_validation_raises(context, rows):
 
 @settings(max_examples=20, deadline=None)
 @given(mix=mixes())
-def test_modal_nadir_matches_rk4(mix):
+def test_kernel_nadir_matches_rk4(mix):
+    rk4 = compute_metrics(simulate_response(assemble_state_space(mix)))
+    assert response_metrics(mix).nadir_hz == pytest.approx(rk4.nadir_hz, abs=RK4_TOL_HZ)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mix=mixes(), gap=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)))
+def test_kernel_matches_rk4_with_nearly_equal_steam_lags(mix, gap):
+    # equal chest and reheat lags make A defective; nearly equal ones make
+    # its eigenvectors nearly parallel
+    dyn = mix.dynamics
+    mix = replace(mix, dynamics=replace(dyn, steam_reheat_s=dyn.steam_chest_s * (1.0 + gap)))
     rk4 = compute_metrics(simulate_response(assemble_state_space(mix)))
     assert response_metrics(mix).nadir_hz == pytest.approx(rk4.nadir_hz, abs=RK4_TOL_HZ)
 
 
 @settings(max_examples=40, deadline=None)
-@given(mix=mixes())
-def test_coarse_fine_search_finds_the_full_grid_minimum(mix):
-    # direct modal solution on every 1 ms sample, with np.exp
+@given(mix=mixes(), horizon=st.sampled_from([30.0, 29.987, 12.3456, 1.0, 0.3]))
+def test_coarse_fine_search_finds_the_full_grid_minimum(mix, horizon):
+    # direct modal solution on every 1 ms sample, with np.exp; a horizon
+    # off the coarse stride adds the horizon sample to the coarse pass
+    mix = replace(mix, dynamics=replace(mix.dynamics, horizon_s=horizon))
     sys = assemble_state_space(mix)
     lam, v = np.linalg.eig(sys.a)
     coef = v[0] * np.linalg.solve(v, sys.b.astype(complex))
@@ -165,22 +180,75 @@ def test_coarse_fine_search_finds_the_full_grid_minimum(mix):
     )
 
 
-@settings(max_examples=60, deadline=None)
+def _step_m(mix):
+    """step M = step [[A, b], [0, 0]], the exponent of the kernel's one-step
+    propagator for a mix."""
+    sys = assemble_state_space(mix)
+    m = np.zeros((9, 9))
+    m[:8, :8], m[:8, 8] = sys.a, sys.b
+    return mix.dynamics.step_s * m
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    lam=st.lists(
-        st.builds(complex, st.floats(-60.0, 0.0), st.floats(-40.0, 40.0)), min_size=1, max_size=8
-    ),
-    start=st.floats(0.0, 30.0),
-    dt=st.sampled_from([0.001, 0.05]),
-    count=st.integers(1, 700),
+    stack=st.lists(
+        st.one_of(
+            contexts().map(_step_m),
+            st.tuples(st.integers(0, 2**32 - 1), st.floats(1e-3, 1.0)).map(
+                lambda d: d[1] * np.random.default_rng(d[0]).standard_normal((9, 9))
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    )
 )
-def test_two_table_exponential_matches_exp(lam, start, dt, count):
-    lam = np.array(lam)[None, :]
-    outer, inner = fcuc.dynamics._exp_tables(lam, np.array([start]), dt, count)
-    table = (outer[0, :, None, :] * inner[0, None, :, :]).reshape(-1, lam.shape[1])[:count]
-    direct = np.exp(lam[0] * (start + dt * np.arange(count))[:, None])
-    # an absolute floor of 1e-300 covers values near underflow
-    assert np.all(np.abs(table - direct) <= EXP_RTOL * np.abs(direct) + 1e-300)
+def test_stacked_exponential_matches_scipy_one_at_a_time(stack):
+    x = np.array(stack)
+    e = fcuc.dynamics._expm1(x)
+    for xi, ei in zip(x, e):
+        ref = scipy.linalg.expm(xi)
+        scale = max(1.0, np.abs(ref).max())
+        assert np.abs(np.eye(9) + ei - ref).max() <= 1e-12 * scale
+    # each matrix is scaled by its own norm, so the stack does not change it
+    assert all(np.array_equal(fcuc.dynamics._expm1(xi[None])[0], ei) for xi, ei in zip(x, e))
+
+
+@settings(max_examples=40, deadline=None)
+@given(context=contexts(), power=st.integers(1, 3000), count=st.integers(1, 90))
+def test_doubling_power_tables_match_repeated_multiplication(context, power, count):
+    e = fcuc.dynamics._expm1(_step_m(context)[None])
+    g = np.eye(9) + e[0]
+    squares = fcuc.dynamics._squares(e, max(power, count).bit_length())
+    # g^power by binary powers, against power - 1 products
+    slow = g
+    for _ in range(power - 1):
+        slow = slow @ g
+    fast = np.eye(9) + fcuc.dynamics._power(squares, power)[0]
+    assert np.abs(fast - slow).max() <= 1e-12 * max(1.0, np.abs(slow).max())
+    # the table g^r z, r < count, built by doubling, against one step at a time
+    z = np.zeros(9)
+    z[-1] = 1.0
+    table = fcuc.dynamics._doubling(squares, z[None, :, None], count)[0]
+    for r in range(count):
+        assert np.abs(table[:, r] - z).max() <= 1e-12 * max(1.0, np.abs(z).max())
+        z = g @ z
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    context=contexts(),
+    rows=st.lists(_ROW, min_size=1, max_size=8),
+    at=st.tuples(st.integers(0, 7), st.integers(0, len(TechClass) - 1)),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_a_non_finite_capacity_is_an_input_error(context, rows, at, bad):
+    rows = np.array(rows)
+    i, col = at[0] % len(rows), at[1]
+    rows[i, col] = bad
+    with pytest.raises(ValueError) as raised:
+        response_metrics_rows(context, rows)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"{list(TechClass)[col].value}: online capacity must be >= 0"
 
 
 @settings(max_examples=60, deadline=None)
