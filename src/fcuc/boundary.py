@@ -49,6 +49,12 @@ class SweepAxis:
     max_mw: float
     granularity_mw: float = DEFAULT_GRANULARITY_MW
 
+    def __post_init__(self):
+        for name in ("min_mw", "max_mw", "granularity_mw"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{self.tech.value} axis: {name} must be finite, got {value}")
+
     def values(self) -> np.ndarray:
         if self.granularity_mw <= 0:
             raise ValueError("granularity must be > 0")

@@ -52,10 +52,13 @@ def _parse_axis(text: str) -> SweepAxis:
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError("axis format: tech:min:max[:step]")
-    tech = TechClass(parts[0])
-    lo, hi = float(parts[1]), float(parts[2])
-    step = float(parts[3]) if len(parts) == 4 else DEFAULT_GRANULARITY_MW
-    return SweepAxis(tech, lo, hi, step)
+    try:
+        tech = TechClass(parts[0])
+        lo, hi = float(parts[1]), float(parts[2])
+        step = float(parts[3]) if len(parts) == 4 else DEFAULT_GRANULARITY_MW
+        return SweepAxis(tech, lo, hi, step)
+    except ValueError as exc:  # argparse would print only "invalid _parse_axis value"
+        raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
 
 
 def _cmd_boundary(args) -> int:

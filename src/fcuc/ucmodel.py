@@ -30,6 +30,10 @@ __all__ = [
 
 DT_H = 1.0  # hourly stages throughout
 
+#: availabilities below this are built as 0 MW: a residue such as sin(pi) * peak
+#: (~1e-14 MW) is no power, and HiGHS warns about so small a column bound
+AVAIL_TOL_MW = 1e-9
+
 #: the scenario units that make up each technology class
 _CLASS_UNITS = {
     TechClass.STEAM: SystemScenario.coal_units,
@@ -104,7 +108,7 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
     """Assemble the daily commitment MILP: cost objective, balance, commitment
     logic, min up/down windows, hydro energy budgets, renewable bounds,
     battery SOC and reserve coupling, system reserve, and (optionally) the
-    inertia/RoCoF, QSS reserve caps, and nadir cut rows.
+    inertia/RoCoF, QSS reserve caps tied to commitment, and nadir cut rows.
     """
     opts = opts or BuildOptions()
     if opts.uniform_reserve_mw is not None and opts.uniform_reserve_mw < s.contingency_mw:
@@ -132,7 +136,10 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
 
     for g in s.renewable_units + s.ror_units():
         for t in range(1, T + 1):
-            p.add_var(_n("p", g.id, t), g.pmin_mw, g.avail_profile_mw[t - 1])
+            lo, hi = g.pmin_mw, g.avail_profile_mw[t - 1]
+            if hi < AVAIL_TOL_MW:  # validation keeps pmin <= avail: both are residues
+                lo = hi = 0.0
+            p.add_var(_n("p", g.id, t), lo, hi)
 
     for b in s.batteries:
         gfm = b.inverter == "gfm_vsm"
@@ -179,6 +186,11 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
             pv, rv = p.col(_n("p", g.id, t)), p.col(_n("r", g.id, t))
             p.add_row(f"cap_{g.id}_{t}", {pv: 1.0, rv: 1.0, u: -g.pmax_mw}, LE, 0.0)
             p.add_row(f"pmin_{g.id}_{t}", {pv: 1.0, u: -g.pmin_mw}, GE, 0.0)
+            if opts.include_qss:
+                # r <= cap * u: the column bound again at u = 1, and at u = 0
+                # `cap` already forces r = 0. Exact at integer points, but the
+                # LP relaxation can no longer buy reserve from a fractional u.
+                p.add_row(f"rqss_{g.id}_{t}", {rv: 1.0, u: -qf * g.pmax_mw / g.droop}, LE, 0.0)
 
     # -- minimum up/down windows, with end-of-horizon forms --
     for g in committed:
@@ -224,6 +236,9 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
             e = p.col(_n("e", b.id, t))
             p.add_row(f"bdis_{b.id}_{t}", {pdis: 1.0, rdis: 1.0}, LE, b.pmax_mw)
             p.add_row(f"brch_{b.id}_{t}", {rch: 1.0, pch: -1.0}, LE, 0.0)
+            if b.inverter == "gfm_vsm" and opts.include_qss:
+                # the QSS cap holds for the battery's total reserve, as the audit checks
+                p.add_row(f"bqss_{b.id}_{t}", {rch: 1.0, rdis: 1.0}, LE, qf * b.pmax_mw / b.droop)
             soc = {e: 1.0, pch: -b.eff_charge * DT_H, pdis: DT_H / b.eff_discharge}
             if t == 1:
                 p.add_row(f"soc_{b.id}_{t}", soc, EQ, b.e_init_mwh)

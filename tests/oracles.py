@@ -9,6 +9,9 @@ fast paths are checked against. Nothing in `fcuc` imports this module.
 - `analytic_qss` is the final-value-theorem QSS deviation of a mix.
 - `brute_force_milp` enumerates every binary assignment of a small MILP and
   solves each continuous LP with HiGHS (`scipy.optimize.linprog`).
+- `without_rows` copies a MILP without one family of rows, such as the
+  `rqss_*` rows that tie each unit's QSS reserve cap to its commitment.
+- `lp_bound` is the optimum of a MILP's LP relaxation.
 """
 
 from __future__ import annotations
@@ -111,6 +114,45 @@ def analytic_qss(mix: OnlineMix) -> float:
     return mix.nominal_freq_hz * mix.contingency_mw / gain
 
 
+def without_rows(p: MilpProblem, prefix: str) -> MilpProblem:
+    """A copy of `p` without the rows whose names start with `prefix`."""
+    q = MilpProblem(p.name)
+    for v in p.variables:
+        q.add_var(v.name, v.lb, v.ub, v.binary, v.cost)
+    for row in p.rows:
+        if not row.name.startswith(prefix):
+            q.add_row(row.name, row.coeffs, row.sense, row.rhs)
+    return q
+
+
+def _lp_solver(p: MilpProblem):
+    """A function of column bounds (lb, ub) that solves the LP of `p`'s rows
+    with HiGHS; the matrices are built once."""
+    c = p.objective()
+    a_ub, b_ub, a_eq, b_eq = p.split_rows()
+
+    def solve(lb: np.ndarray, ub: np.ndarray):
+        return linprog(
+            c,
+            A_ub=a_ub if a_ub.shape[0] else None,
+            b_ub=b_ub if len(b_ub) else None,
+            A_eq=a_eq if a_eq.shape[0] else None,
+            b_eq=b_eq if len(b_eq) else None,
+            bounds=np.column_stack([lb, ub]),
+            method="highs",
+        )
+
+    return solve
+
+
+def lp_bound(p: MilpProblem) -> float:
+    """Optimum of the LP relaxation of `p` (binaries relaxed to [0, 1])."""
+    res = _lp_solver(p)(*p.bounds())
+    if res.status != 0:
+        raise ValueError(f"LP relaxation not solved: {res.message}")
+    return float(res.fun)
+
+
 def brute_force_milp(p: MilpProblem, max_binaries: int = 20) -> MilpResult:
     """Enumerate every binary assignment, solve each continuous LP, keep the best.
 
@@ -120,23 +162,14 @@ def brute_force_milp(p: MilpProblem, max_binaries: int = 20) -> MilpResult:
     binaries = p.binary_columns()
     if len(binaries) > max_binaries:
         raise ValueError(f"{len(binaries)} binaries exceeds oracle limit {max_binaries}")
-    c = p.objective()
-    a_ub, b_ub, a_eq, b_eq = p.split_rows()
+    solve = _lp_solver(p)
     lb, ub = p.bounds()
     best = None
     count = 0
     for bits in itertools.product((0.0, 1.0), repeat=len(binaries)):
         lo, hi = lb.copy(), ub.copy()
         lo[binaries] = hi[binaries] = bits
-        res = linprog(
-            c,
-            A_ub=a_ub if a_ub.shape[0] else None,
-            b_ub=b_ub if len(b_ub) else None,
-            A_eq=a_eq if a_eq.shape[0] else None,
-            b_eq=b_eq if len(b_eq) else None,
-            bounds=np.column_stack([lo, hi]),
-            method="highs",
-        )
+        res = solve(lo, hi)
         count += 1
         if res.status == 0 and (best is None or res.fun < best.fun):
             best = res

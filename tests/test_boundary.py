@@ -45,6 +45,14 @@ def test_axis_values_inclusive_lattice():
         SweepAxis(TechClass.STEAM, 10.0, 0.0, 1.0).values()
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["min_mw", "max_mw", "granularity_mw"])
+def test_axis_rejects_a_non_finite_bound_naming_the_axis(field, bad):
+    fields = {"min_mw": 0.0, "max_mw": 500.0, "granularity_mw": 50.0, field: bad}
+    with pytest.raises(ValueError, match=f"hydro_reservoir axis: {field} must be finite"):
+        SweepAxis(TechClass.HYDRO_RESERVOIR, **fields)
+
+
 def test_spec_rejects_bad_axes():
     ctx = _context()
     ax = SweepAxis(TechClass.STEAM, 0.0, 100.0, 50.0)

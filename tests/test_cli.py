@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +109,37 @@ def test_boundary_axis_that_cannot_comply_alone_exit_3(desk_path, capsys):
 
 def test_boundary_bad_axis_format(desk_path, capsys):
     assert main(["boundary", "--scenario", desk_path, "--axis", "steam-0-100"]) == 1
+
+
+@pytest.mark.parametrize("axis", ["steam:0:inf:50", "steam:0:nan:50"])
+def test_boundary_non_finite_axis_is_a_usage_error(desk_path, capsys, axis):
+    assert main(["boundary", "--scenario", desk_path, "--axis", axis]) == 1
+    assert "steam axis: max_mw must be finite" in capsys.readouterr().err
+
+
+_SOLVE = "import sys; from fcuc.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_solve_report_is_identical_across_hash_seeds(tmp_path):
+    """Two processes with different string-hash seeds write the same report
+    JSON, byte for byte apart from its wall time."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = str(pathlib.Path(fcuc.drivers.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}.json"
+        argv = ["solve", "--model", "proposed", "--report-out", str(out),
+                "--scenario", str(root / "scripts" / "example_scenario.json")]
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, "-c", _SOLVE, *argv], env=env,
+                                stdout=subprocess.DEVNULL)
+        runs.append((out, proc))
+    reports = []
+    for out, proc in runs:
+        assert proc.wait(timeout=300) == 0
+        reports.append([ln for ln in out.read_text().splitlines() if '"wall_time_s"' not in ln])
+    assert json.loads(runs[0][0].read_text())["cuts"]  # the run learned cuts
+    assert reports[0] == reports[1]
 
 
 def test_solve_proposed(desk_path, capsys, tmp_path):

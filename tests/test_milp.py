@@ -1,18 +1,21 @@
 """MILP container bookkeeping and UC model structure."""
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
+import fcuc.solver
 from conftest import battery_scenario, desk_scenario
 from fcuc.boundary import NadirCut
 from fcuc.dynamics import TechClass
 from fcuc.milp import EQ, GE, LE, MilpProblem
-from fcuc.scenario import Battery, validate_scenario
+from fcuc.scenario import Battery, load_scenario, validate_scenario
 from fcuc.solver import solve_milp
 from fcuc.ucmodel import (
     _CLASS_UNITS,
+    AVAIL_TOL_MW,
     COMMITTED_CLASSES,
     BuildOptions,
     UcSolution,
@@ -25,6 +28,9 @@ from fcuc.ucmodel import (
     online_mix,
     units_of,
 )
+from oracles import lp_bound, without_rows
+
+EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "example_scenario.json"
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +111,66 @@ def test_qss_caps_on_reserve_columns(desk_s, desk_p):
     # disabling QSS removes the caps
     loose = build_fcuc(s, BuildOptions(include_qss=False))
     assert loose.variables[loose.col(f"r_{g.id}_1")].ub == np.inf
+    assert not any(r.name.startswith("rqss_") for r in loose.rows)
+
+
+def test_qss_caps_are_tied_to_commitment(desk_s, desk_p):
+    """One row r - cap * u <= 0 per committed unit and hour, named rqss_<id>_<t>."""
+    s, p = desk_s, desk_p
+    qf = s.limits.qss_max_dev_hz / s.nominal_freq_hz
+    rows = {r.name: r for r in p.rows if r.name.startswith("rqss_")}
+    assert len(rows) == len(s.committed_units()) * s.periods
+    for g in s.committed_units():
+        for t in (1, s.periods):
+            row = rows[f"rqss_{g.id}_{t}"]
+            assert (row.sense, row.rhs) == (LE, 0.0)
+            assert row.coeffs == {
+                p.col(f"r_{g.id}_{t}"): 1.0,
+                p.col(f"u_{g.id}_{t}"): -qf * g.pmax_mw / g.droop,
+            }
+
+
+def test_qss_commitment_rows_raise_the_desk_lp_bound(desk_s):
+    """The rows cut off reserve bought from fractional commitments: the LP
+    relaxation at 1.1x the contingency is strictly tighter with them."""
+    s = desk_s
+    p = build_fcuc(s, BuildOptions(uniform_reserve_mw=1.1 * s.contingency_mw))
+    tight, loose = lp_bound(p), lp_bound(without_rows(p, "rqss_"))
+    assert tight > loose * (1.0 + 1e-3)
+
+
+def test_gfm_battery_qss_cap_bounds_its_reserve_sum():
+    """The MILP caps rch + rdis of a GFM battery as the audit does, so the
+    first solve of the battery day passes the audit."""
+    s = battery_scenario()
+    qf = s.limits.qss_max_dev_hz / s.nominal_freq_hz
+    p = build_fcuc(s)
+    (b,) = s.gfm_batteries()
+    row = next(r for r in p.rows if r.name == f"bqss_{b.id}_1")
+    assert row.sense == LE and row.rhs == pytest.approx(qf * b.pmax_mw / b.droop)
+    assert set(row.coeffs) == {p.col(f"rch_{b.id}_1"), p.col(f"rdis_{b.id}_1")}
+    assert sum(r.name.startswith("bqss_") for r in p.rows) == s.periods  # not the GFL one
+    loose = build_fcuc(s, BuildOptions(include_qss=False))
+    assert not any(r.name.startswith("bqss_") for r in loose.rows)
+    res = solve_milp(p)
+    assert res.status == "optimal"
+    assert check_feasibility(s, decode_solution(p, s, res.x, res.objective)) == []
+
+
+def test_residual_availability_is_built_as_zero(capfd, monkeypatch):
+    """pv_a's sin(pi) residue at hour 19 of the example becomes a 0 MW bound,
+    and HiGHS no longer warns about excessively small column bounds."""
+    s = load_scenario(str(EXAMPLE))
+    pv = next(g for g in s.renewable_units if g.id == "pv_a")
+    assert 0.0 < pv.avail_profile_mw[18] < AVAIL_TOL_MW
+    p = build_fcuc(s)
+    assert p.variables[p.col("p_pv_a_19")].ub == 0.0
+    monkeypatch.setitem(fcuc.solver._HIGHS_OPTIONS, "disp", True)
+    capfd.readouterr()
+    assert solve_milp(p).status == "optimal"
+    log = capfd.readouterr().out
+    assert "Running HiGHS" in log
+    assert "excessively small" not in log
 
 
 def test_rocof_floor_value(desk_s, desk_p):

@@ -11,7 +11,7 @@ from fcuc.milp import GE, LE, MilpProblem
 from fcuc.scenario import load_scenario
 from fcuc.solver import solve_milp
 from fcuc.ucmodel import build_fcuc
-from oracles import brute_force_milp
+from oracles import brute_force_milp, without_rows
 
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "example_scenario.json"
 
@@ -31,6 +31,26 @@ def test_solve_milp_matches_brute_force_on_small_uc_instances(milp_oracle):
             )
             agreed += 1
     assert agreed >= 40  # the generator must mostly produce feasible instances
+
+
+def test_qss_commitment_rows_leave_the_enumerated_optima_unchanged(milp_oracle):
+    """The rqss_* rows only repeat, at each integer commitment, what the column
+    bounds and `cap` rows already impose: enumeration gives the same optima
+    with and without them (instances of at most 6 binaries among seeds 0-24)."""
+    exact_all, _ = milp_oracle
+    compared = 0
+    for seed, exact in enumerate(exact_all[:25]):
+        p = build_fcuc(tiny_scenario(seed))
+        if len(p.binary_columns()) > 6:
+            continue
+        loose = without_rows(p, "rqss_")
+        assert p.nrows - loose.nrows == len(p.binary_columns())
+        alone = brute_force_milp(loose)
+        assert alone.status == exact.status, f"seed {seed}"
+        if exact.status == "optimal":
+            assert alone.objective == pytest.approx(exact.objective, abs=1e-6, rel=1e-9)
+        compared += 1
+    assert compared >= 8
 
 
 def test_incumbent_is_integral_and_in_bounds():
