@@ -30,9 +30,8 @@ def _cmd_simulate(args) -> int:
     mix = fleet_mix(s, args.hour).with_capacities(
         {c: fleet_capacity_mw(s, c) for c in COMMITTED_CLASSES}
     )
-    for ov in args.override or []:
-        tech, _, mw = ov.partition("=")
-        mix = mix.with_capacity(TechClass(tech), float(mw))
+    for tech, mw in args.override or []:
+        mix = mix.with_capacity(tech, mw)
     met = response_metrics(mix)
     rep = check_compliance(met, s.limits)
     print(f"nadir_hz\t{met.nadir_hz:.4f}")
@@ -58,6 +57,16 @@ def _parse_axis(text: str) -> SweepAxis:
         step = float(parts[3]) if len(parts) == 4 else DEFAULT_GRANULARITY_MW
         return SweepAxis(tech, lo, hi, step)
     except ValueError as exc:  # argparse would print only "invalid _parse_axis value"
+        raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
+
+
+def _parse_capacity(text: str) -> tuple[TechClass, float]:
+    tech, sep, mw = text.partition("=")
+    try:
+        if not sep:
+            raise ValueError("expected tech=MW")
+        return TechClass(tech), float(mw)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
 
 
@@ -145,9 +154,8 @@ def _cmd_plan_npv(args) -> int:
 def _cmd_study(args) -> int:
     s = load_scenario(args.scenario)
     ctx = study_context(s)
-    for ov in args.backdrop or []:
-        tech, _, mw = ov.partition("=")
-        ctx = ctx.with_capacity(TechClass(tech), float(mw))
+    for tech, mw in args.backdrop or []:
+        ctx = ctx.with_capacity(tech, mw)
     if args.kind == "equivalence":
         res = equivalence_study(s, TechClass(args.tech_a), TechClass(args.tech_b), context=ctx)
         print(f"edge_{res.tech_a.value}_mw\t{res.edge_a_mw:.1f}")
@@ -177,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="post-contingency frequency response at one hour")
     sim.add_argument("--scenario", required=True)
     sim.add_argument("--hour", type=int, default=1)
-    sim.add_argument("--override", action="append", metavar="tech=MW")
+    sim.add_argument("--override", action="append", type=_parse_capacity, metavar="tech=MW")
     sim.add_argument("--trace-out")
     sim.add_argument("--decimate", type=int, default=10)
     sim.set_defaults(func=_cmd_simulate)
@@ -220,13 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("--scenario", required=True)
     eq.add_argument("--tech-a", required=True)
     eq.add_argument("--tech-b", required=True)
-    eq.add_argument("--backdrop", action="append", metavar="tech=MW",
+    eq.add_argument("--backdrop", action="append", type=_parse_capacity, metavar="tech=MW",
                     help="fixed online capacity added to the study context")
     eq.set_defaults(func=_cmd_study, kind="equivalence")
     gs = study_sub.add_parser("gfm-sensitivity")
     gs.add_argument("--scenario", required=True)
     gs.add_argument("--time-constants", type=float, nargs="+", default=[0.02, 0.1, 1.0])
-    gs.add_argument("--backdrop", action="append", metavar="tech=MW",
+    gs.add_argument("--backdrop", action="append", type=_parse_capacity, metavar="tech=MW",
                     help="fixed online capacity added to the study context")
     gs.set_defaults(func=_cmd_study, kind="gfm-sensitivity")
 

@@ -7,7 +7,8 @@ Every other module consumes the types defined here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Iterator
 
 __all__ = [
@@ -222,9 +223,28 @@ _HYDRO_KINDS = {"reservoir", "run_of_river"}
 _INVERTERS = {"gfl", "gfm_vsm"}
 
 
+def _non_finite(obj, prefix: str = "") -> Iterator[str]:
+    """Paths of every NaN or infinite number in a scenario dataclass, its
+    nested dataclasses and the entries of its tuples, in one walk."""
+    for name in obj.__dataclass_fields__:
+        value, path = getattr(obj, name), prefix + name
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                yield path
+        elif isinstance(value, tuple):
+            for i, v in enumerate(value):
+                if isinstance(v, float):
+                    if not math.isfinite(v):
+                        yield f"{path}[{i}]"
+                elif is_dataclass(v):
+                    yield from _non_finite(v, f"{path}[{i}]({v.id}).")
+        elif is_dataclass(value):
+            yield from _non_finite(value, f"{path}.")
+
+
 def validate_scenario(s: SystemScenario) -> list[Violation]:
     """Return every invariant violation; empty list means the scenario is valid."""
-    bad: list[Violation] = []
+    bad = [Violation(path, "must be finite") for path in _non_finite(s)]
 
     def check(ok: bool, path: str, message: str) -> None:
         if not ok:

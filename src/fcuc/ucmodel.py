@@ -64,8 +64,9 @@ def fleet_capacity_mw(s: SystemScenario, cls: TechClass) -> float:
 
 @dataclass(frozen=True)
 class BuildOptions:
-    include_rocof: bool = True
-    include_qss: bool = True
+    """What the operating loop varies between solves: the nadir cuts (proposed
+    model) and the uniform reserve requirement (industry model)."""
+
     nadir_cuts: tuple[tuple[int, NadirCut], ...] = ()
     uniform_reserve_mw: float | None = None
 
@@ -107,8 +108,8 @@ def _qss_factor(s: SystemScenario) -> float:
 def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProblem:
     """Assemble the daily commitment MILP: cost objective, balance, commitment
     logic, min up/down windows, hydro energy budgets, renewable bounds,
-    battery SOC and reserve coupling, system reserve, and (optionally) the
-    inertia/RoCoF, QSS reserve caps tied to commitment, and nadir cut rows.
+    battery SOC and reserve coupling, QSS reserve caps tied to commitment,
+    system reserve, inertia with its RoCoF floor, and the nadir cut rows.
     """
     opts = opts or BuildOptions()
     if opts.uniform_reserve_mw is not None and opts.uniform_reserve_mw < s.contingency_mw:
@@ -131,8 +132,7 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
             p.add_var(_n("z", g.id, t), 0.0, 1.0,
                       cost=g.cost_shutdown if is_thermal else 0.0)
             p.add_var(_n("p", g.id, t), 0.0, g.pmax_mw, cost=g.cost_var)
-            r_ub = qf * g.pmax_mw / g.droop if opts.include_qss else np.inf
-            p.add_var(_n("r", g.id, t), 0.0, r_ub)
+            p.add_var(_n("r", g.id, t), 0.0, qf * g.pmax_mw / g.droop)
 
     for g in s.renewable_units + s.ror_units():
         for t in range(1, T + 1):
@@ -142,13 +142,8 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
             p.add_var(_n("p", g.id, t), lo, hi)
 
     for b in s.batteries:
-        gfm = b.inverter == "gfm_vsm"
-        if gfm and opts.include_qss:
-            batt_res_cap = qf * b.pmax_mw / b.droop
-        elif gfm:
-            batt_res_cap = np.inf
-        else:
-            batt_res_cap = 0.0  # GFL: reserve provision forced to zero
+        # GFL: reserve provision forced to zero
+        batt_res_cap = qf * b.pmax_mw / b.droop if b.inverter == "gfm_vsm" else 0.0
         for t in range(1, T + 1):
             p.add_var(_n("pch", b.id, t), 0.0, b.pmax_mw, cost=b.cost_var)
             p.add_var(_n("pdis", b.id, t), 0.0, b.pmax_mw, cost=b.cost_var)
@@ -157,8 +152,7 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
             p.add_var(_n("e", b.id, t), 0.0, b.emax_mwh)
 
     for t in range(1, T + 1):
-        rpf_ub = qf * s.damping_at(t) if opts.include_qss else np.inf
-        p.add_var(f"rpf_{t}", 0.0, rpf_ub)
+        p.add_var(f"rpf_{t}", 0.0, qf * s.damping_at(t))
         p.add_var(f"m_{t}", 0.0, np.inf)
 
     # -- energy balance --
@@ -186,40 +180,23 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
             pv, rv = p.col(_n("p", g.id, t)), p.col(_n("r", g.id, t))
             p.add_row(f"cap_{g.id}_{t}", {pv: 1.0, rv: 1.0, u: -g.pmax_mw}, LE, 0.0)
             p.add_row(f"pmin_{g.id}_{t}", {pv: 1.0, u: -g.pmin_mw}, GE, 0.0)
-            if opts.include_qss:
-                # r <= cap * u: the column bound again at u = 1, and at u = 0
-                # `cap` already forces r = 0. Exact at integer points, but the
-                # LP relaxation can no longer buy reserve from a fractional u.
-                p.add_row(f"rqss_{g.id}_{t}", {rv: 1.0, u: -qf * g.pmax_mw / g.droop}, LE, 0.0)
+            # r <= cap * u: the column bound again at u = 1, and at u = 0
+            # `cap` already forces r = 0. Exact at integer points, but the
+            # LP relaxation can no longer buy reserve from a fractional u.
+            p.add_row(f"rqss_{g.id}_{t}", {rv: 1.0, u: -qf * g.pmax_mw / g.droop}, LE, 0.0)
 
-    # -- minimum up/down windows, with end-of-horizon forms --
+    # -- minimum up/down windows, cut short at the end of the horizon --
     for g in committed:
-        t_on = getattr(g, "min_up_h", 1)
-        t_off = getattr(g, "min_down_h", 1)
         for t in range(1, T + 1):
-            y = p.col(_n("y", g.id, t))
-            z = p.col(_n("z", g.id, t))
-            if t <= T - t_on:
-                window = range(t, t + t_on)
-                req = float(t_on)
-            else:
-                window = range(t, T + 1)
-                req = float(T - t + 1)
+            window = range(t, min(t + getattr(g, "min_up_h", 1), T + 1))
             coeffs = {p.col(_n("u", g.id, tau)): 1.0 for tau in window}
-            coeffs[y] = coeffs.get(y, 0.0) - req
+            coeffs[p.col(_n("y", g.id, t))] = -float(len(window))
             p.add_row(f"up_{g.id}_{t}", coeffs, GE, 0.0)
-
-            if t <= T - t_off:
-                window = range(t, t + t_off)
-                req = float(t_off)
-            else:
-                window = range(t, T + 1)
-                req = float(T - t + 1)
-            # sum (1 - u) >= req z  ->  -sum u - req z >= -len(window)
+            # sum (1 - u) >= len z  ->  -sum u - len z >= -len
+            window = range(t, min(t + getattr(g, "min_down_h", 1), T + 1))
             coeffs = {p.col(_n("u", g.id, tau)): -1.0 for tau in window}
-            nwin = len(list(window))
-            coeffs[z] = coeffs.get(z, 0.0) - req
-            p.add_row(f"down_{g.id}_{t}", coeffs, GE, -float(nwin))
+            coeffs[p.col(_n("z", g.id, t))] = -float(len(window))
+            p.add_row(f"down_{g.id}_{t}", coeffs, GE, -float(len(window)))
 
     # -- reservoir daily energy --
     for h in s.reservoir_units():
@@ -236,7 +213,7 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
             e = p.col(_n("e", b.id, t))
             p.add_row(f"bdis_{b.id}_{t}", {pdis: 1.0, rdis: 1.0}, LE, b.pmax_mw)
             p.add_row(f"brch_{b.id}_{t}", {rch: 1.0, pch: -1.0}, LE, 0.0)
-            if b.inverter == "gfm_vsm" and opts.include_qss:
+            if b.inverter == "gfm_vsm":
                 # the QSS cap holds for the battery's total reserve, as the audit checks
                 p.add_row(f"bqss_{b.id}_{t}", {rch: 1.0, rdis: 1.0}, LE, qf * b.pmax_mw / b.droop)
             soc = {e: 1.0, pch: -b.eff_charge * DT_H, pdis: DT_H / b.eff_discharge}
@@ -270,39 +247,18 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
         + sum(2.0 * b.inertia_h_s * b.pmax_mw for b in s.gfm_batteries())
         + sum(2.0 * c.inertia_h_s * c.rating_mw for c in s.condensers)
     )
+    floor = s.contingency_mw * s.nominal_freq_hz / s.limits.rocof_limit_hz_s
     for t in range(1, T + 1):
         coeffs = {p.col(f"m_{t}"): 1.0}
         for g in committed:
             coeffs[p.col(_n("u", g.id, t))] = -2.0 * g.inertia_h_s * g.pmax_mw
         p.add_row(f"inertia_{t}", coeffs, EQ, const_inertia)
-        if opts.include_rocof:
-            floor = s.contingency_mw * s.nominal_freq_hz / s.limits.rocof_limit_hz_s
-            if floor > 0:
-                p.add_row(f"rocof_{t}", {p.col(f"m_{t}"): 1.0}, GE, floor)
+        p.add_row(f"rocof_{t}", {p.col(f"m_{t}"): 1.0}, GE, floor)
 
     for hour, cut in opts.nadir_cuts:
         add_nadir_cut(p, s, cut, hour)
 
     return p
-
-
-def _cut_terms(s: SystemScenario, cut: NadirCut):
-    """Split cut coefficients into commitment-linked columns and a constant."""
-    terms: list[tuple[str, float]] = []
-    constant = 0.0
-    for tech, coeff in cut.coeffs.items():
-        if coeff == 0.0:
-            continue
-        if tech in COMMITTED_CLASSES:
-            units = units_of(s, tech)
-            if not units:
-                raise ValueError(
-                    f"nadir cut references {tech.value} but the scenario has no such units"
-                )
-            terms += [(u.id, coeff * u.pmax_mw) for u in units]
-        else:
-            constant += coeff * fleet_capacity_mw(s, tech)
-    return terms, constant
 
 
 def add_nadir_cut(p: MilpProblem, s: SystemScenario, cut: NadirCut, hour: int) -> MilpProblem:
@@ -313,19 +269,29 @@ def add_nadir_cut(p: MilpProblem, s: SystemScenario, cut: NadirCut, hour: int) -
     """
     if not 1 <= hour <= s.periods:
         raise ValueError(f"hour {hour} out of range 1..{s.periods}")
-    if all(c == 0.0 for c in cut.coeffs.values()) or not cut.coeffs:
+    if all(c == 0.0 for c in cut.coeffs.values()):
         raise ValueError("degenerate nadir cut: all coefficients are zero")
-    terms, constant = _cut_terms(s, cut)
+    coeffs: dict[int, float] = {}
+    constant = 0.0
+    for tech, coeff in cut.coeffs.items():
+        if coeff == 0.0:
+            continue
+        if tech not in COMMITTED_CLASSES:
+            constant += coeff * fleet_capacity_mw(s, tech)
+            continue
+        units = units_of(s, tech)
+        if not units:
+            raise ValueError(
+                f"nadir cut references {tech.value} but the scenario has no such units"
+            )
+        for u in units:
+            col = p.col(_n("u", u.id, hour))
+            coeffs[col] = coeffs.get(col, 0.0) + coeff * u.pmax_mw
     # hash() of a str is salted per process; a digest names the row the same in every run
     digest = hashlib.blake2b(repr(cut.key()).encode(), digest_size=6).hexdigest()
     name = f"nadir_{hour}_{digest}"
-    if p.has_row(name):
-        return p
-    coeffs = {}
-    for uid, w in terms:
-        col = p.col(_n("u", uid, hour))
-        coeffs[col] = coeffs.get(col, 0.0) + w
-    p.add_row(name, coeffs, GE, cut.intercept - constant)
+    if not p.has_row(name):
+        p.add_row(name, coeffs, GE, cut.intercept - constant)
     return p
 
 
@@ -349,38 +315,20 @@ def decode_solution(p: MilpProblem, s: SystemScenario, x: np.ndarray, objective:
 
     power = grab("p", cids)
     power.update(grab("p", gids))
+    commit, startup, shutdown = grab("u", cids), grab("y", cids), grab("z", cids)
+    charge, discharge = grab("pch", bids), grab("pdis", bids)
 
-    thermal_var = sum(
-        u.cost_var * p.value(x, _n("p", u.id, t)) for u in s.thermal_units for t in range(1, T + 1)
-    )
-    thermal_fixed = sum(
-        u.cost_fixed * p.value(x, _n("u", u.id, t)) for u in s.thermal_units for t in range(1, T + 1)
-    )
-    thermal_start = sum(
-        u.cost_startup * p.value(x, _n("y", u.id, t)) for u in s.thermal_units for t in range(1, T + 1)
-    )
-    thermal_stop = sum(
-        u.cost_shutdown * p.value(x, _n("z", u.id, t)) for u in s.thermal_units for t in range(1, T + 1)
-    )
-    hydro_cost = sum(
-        h.cost_var * p.value(x, _n("p", h.id, t))
-        for h in s.reservoir_units()
-        for t in range(1, T + 1)
-    )
-    batt_cost = sum(
-        b.cost_var * (p.value(x, _n("pch", b.id, t)) + p.value(x, _n("pdis", b.id, t)))
-        for b in s.batteries
-        for t in range(1, T + 1)
-    )
+    def cost(units, rate: str, values) -> float:
+        return sum(getattr(u, rate) * values[(u.id, t)] for u in units for t in range(1, T + 1))
 
     return UcSolution(
-        commit=grab("u", cids),
-        startup=grab("y", cids),
-        shutdown=grab("z", cids),
+        commit=commit,
+        startup=startup,
+        shutdown=shutdown,
         power=power,
         reserve=grab("r", cids),
-        batt_charge=grab("pch", bids),
-        batt_discharge=grab("pdis", bids),
+        batt_charge=charge,
+        batt_discharge=discharge,
         batt_res_charge=grab("rch", bids),
         batt_res_discharge=grab("rdis", bids),
         batt_energy=grab("e", bids),
@@ -388,12 +336,16 @@ def decode_solution(p: MilpProblem, s: SystemScenario, x: np.ndarray, objective:
         inertia_mws={t: p.value(x, f"m_{t}") for t in range(1, T + 1)},
         objective=objective,
         cost_breakdown={
-            "thermal_variable": thermal_var,
-            "thermal_fixed": thermal_fixed,
-            "thermal_startup": thermal_start,
-            "thermal_shutdown": thermal_stop,
-            "hydro_opportunity": hydro_cost,
-            "battery_degradation": batt_cost,
+            "thermal_variable": cost(s.thermal_units, "cost_var", power),
+            "thermal_fixed": cost(s.thermal_units, "cost_fixed", commit),
+            "thermal_startup": cost(s.thermal_units, "cost_startup", startup),
+            "thermal_shutdown": cost(s.thermal_units, "cost_shutdown", shutdown),
+            "hydro_opportunity": cost(s.reservoir_units(), "cost_var", power),
+            "battery_degradation": sum(
+                b.cost_var * (charge[(b.id, t)] + discharge[(b.id, t)])
+                for b in s.batteries
+                for t in range(1, T + 1)
+            ),
         },
     )
 
@@ -449,23 +401,17 @@ def check_feasibility(
                 flag("pmin", g.id, t, g.pmin_mw * u - pw)
             if rv < -tol:
                 flag("reserve_sign", g.id, t, rv)
-            if opts.include_qss and rv > qf * g.pmax_mw / g.droop + tol:
+            if rv > qf * g.pmax_mw / g.droop + tol:
                 flag("qss_cap", g.id, t, rv - qf * g.pmax_mw / g.droop)
-
-        t_on = getattr(g, "min_up_h", 1)
-        t_off = getattr(g, "min_down_h", 1)
-        for t in range(1, T + 1):
-            y, z = sol.startup[(g.id, t)], sol.shutdown[(g.id, t)]
-            hi = min(t + t_on - 1, T) if t <= T - t_on else T
-            req = float(t_on) if t <= T - t_on else float(T - t + 1)
-            tot = sum(sol.commit[(g.id, tau)] for tau in range(t, hi + 1))
-            if tot < req * y - tol:
-                flag("min_up", g.id, t, req * y - tot)
-            hi = min(t + t_off - 1, T) if t <= T - t_off else T
-            req = float(t_off) if t <= T - t_off else float(T - t + 1)
-            tot = sum(1.0 - sol.commit[(g.id, tau)] for tau in range(t, hi + 1))
-            if tot < req * z - tol:
-                flag("min_down", g.id, t, req * z - tot)
+            # a start (stop) holds the unit on (off) to the end of its window
+            window = range(t, min(t + getattr(g, "min_up_h", 1), T + 1))
+            tot = sum(sol.commit[(g.id, tau)] for tau in window)
+            if tot < len(window) * y - tol:
+                flag("min_up", g.id, t, len(window) * y - tot)
+            window = range(t, min(t + getattr(g, "min_down_h", 1), T + 1))
+            tot = sum(1.0 - sol.commit[(g.id, tau)] for tau in window)
+            if tot < len(window) * z - tol:
+                flag("min_down", g.id, t, len(window) * z - tot)
 
     for h in s.reservoir_units():
         tot = sum(sol.power[(h.id, t)] for t in range(1, T + 1)) * DT_H
@@ -500,7 +446,7 @@ def check_feasibility(
                 flag("batt_sign", b.id, t, min(pch, pdis, rch, rdis))
             if gfl and max(rch, rdis) > tol:
                 flag("gfl_reserve", b.id, t, max(rch, rdis))
-            if not gfl and opts.include_qss and rch + rdis > qf * b.pmax_mw / b.droop + tol:
+            if not gfl and rch + rdis > qf * b.pmax_mw / b.droop + tol:
                 flag("qss_cap_batt", b.id, t, rch + rdis - qf * b.pmax_mw / b.droop)
             soc = e - prev_e - (pch * b.eff_charge - pdis / b.eff_discharge) * DT_H
             if abs(soc) > tol:
@@ -528,7 +474,7 @@ def check_feasibility(
             flag("system_reserve", "system", t, reserve_req - rtot)
         if rpf < -tol:
             flag("rpf_sign", "system", t, rpf)
-        if opts.include_qss and rpf > qf * s.damping_at(t) + tol:
+        if rpf > qf * s.damping_at(t) + tol:
             flag("qss_cap_rpf", "system", t, rpf - qf * s.damping_at(t))
 
     const_inertia = (
@@ -536,16 +482,15 @@ def check_feasibility(
         + sum(2.0 * b.inertia_h_s * b.pmax_mw for b in s.gfm_batteries())
         + sum(2.0 * c.inertia_h_s * c.rating_mw for c in s.condensers)
     )
+    floor = s.contingency_mw * s.nominal_freq_hz / s.limits.rocof_limit_hz_s
     for t in range(1, T + 1):
         m_ref = const_inertia + sum(
             2.0 * g.inertia_h_s * g.pmax_mw * sol.commit[(g.id, t)] for g in committed
         )
         if abs(sol.inertia_mws[t] - m_ref) > tol:
             flag("inertia_sum", "system", t, sol.inertia_mws[t] - m_ref)
-        if opts.include_rocof:
-            floor = s.contingency_mw * s.nominal_freq_hz / s.limits.rocof_limit_hz_s
-            if sol.inertia_mws[t] < floor - tol:
-                flag("rocof", "system", t, floor - sol.inertia_mws[t])
+        if sol.inertia_mws[t] < floor - tol:
+            flag("rocof", "system", t, floor - sol.inertia_mws[t])
 
     for hour, cut in opts.nadir_cuts:
         caps = {

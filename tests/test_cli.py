@@ -82,6 +82,23 @@ def test_a_non_finite_capacity_is_a_usage_error(desk_path, capsys, mw):
     assert err.count("online capacity must be >= 0") == 2
 
 
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--override", "steam", "expected tech=MW"),
+    ("--override", "steam=lots", "could not convert"),
+    ("--backdrop", "coal=10", "not a valid TechClass"),
+    ("--backdrop", "=10", "not a valid TechClass"),
+])
+def test_a_malformed_capacity_is_a_usage_error(desk_path, capsys, flag, value, reason):
+    if flag == "--override":
+        argv = ["simulate", "--scenario", desk_path]
+    else:
+        argv = ["study", "equivalence", "--scenario", desk_path, "--tech-a", "gfm",
+                "--tech-b", "condenser"]
+    assert main([*argv, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {value}: " in err and reason in err
+
+
 def test_boundary(desk_path, capsys, tmp_path):
     grid = tmp_path / "grid.tsv"
     cut = tmp_path / "cut.json"

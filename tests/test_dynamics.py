@@ -149,7 +149,7 @@ def defective(desk):
     return s, context
 
 
-def test_defective_a_takes_the_rk4_path_for_every_row(defective, monkeypatch):
+def test_defective_a_matches_rk4_on_every_row_without_calling_it(defective, monkeypatch):
     # every row of the defective context against RK4: the kernel is exact
     # for a defective A, and it never calls the integrator
     s, context = defective

@@ -1,5 +1,6 @@
 """MILP container bookkeeping and UC model structure."""
 
+import copy
 import dataclasses
 import pathlib
 
@@ -108,10 +109,6 @@ def test_qss_caps_on_reserve_columns(desk_s, desk_p):
     assert v.ub == pytest.approx(qf * g.pmax_mw / g.droop)
     rpf = p.variables[p.col("rpf_1")]
     assert rpf.ub == pytest.approx(qf * s.damping_at(1))
-    # disabling QSS removes the caps
-    loose = build_fcuc(s, BuildOptions(include_qss=False))
-    assert loose.variables[loose.col(f"r_{g.id}_1")].ub == np.inf
-    assert not any(r.name.startswith("rqss_") for r in loose.rows)
 
 
 def test_qss_caps_are_tied_to_commitment(desk_s, desk_p):
@@ -150,8 +147,6 @@ def test_gfm_battery_qss_cap_bounds_its_reserve_sum():
     assert row.sense == LE and row.rhs == pytest.approx(qf * b.pmax_mw / b.droop)
     assert set(row.coeffs) == {p.col(f"rch_{b.id}_1"), p.col(f"rdis_{b.id}_1")}
     assert sum(r.name.startswith("bqss_") for r in p.rows) == s.periods  # not the GFL one
-    loose = build_fcuc(s, BuildOptions(include_qss=False))
-    assert not any(r.name.startswith("bqss_") for r in loose.rows)
     res = solve_milp(p)
     assert res.status == "optimal"
     assert check_feasibility(s, decode_solution(p, s, res.x, res.objective)) == []
@@ -180,8 +175,54 @@ def test_rocof_floor_value(desk_s, desk_p):
     assert row.rhs == pytest.approx(
         s.contingency_mw * s.nominal_freq_hz / s.limits.rocof_limit_hz_s
     )
-    relaxed = build_fcuc(s, BuildOptions(include_rocof=False))
-    assert not relaxed.has_row("rocof_1")
+
+
+def test_min_up_down_windows_are_cut_short_at_the_horizon(desk_s, desk_p):
+    """A start (stop) at t holds the unit on (off) for min(min_h, T - t + 1)
+    hours: the window ends with the day instead of running past it."""
+    s, p = desk_s, desk_p
+    T = s.periods
+    g = next(u for u in s.committed_units() if u.id == "coal_a")
+    assert g.min_up_h == g.min_down_h == 4
+    rows = {r.name: r for r in p.rows}
+    for t in range(1, T + 1):
+        n = min(4, T - t + 1)
+        window = {p.col(f"u_{g.id}_{tau}") for tau in range(t, t + n)}
+        up, down = rows[f"up_{g.id}_{t}"], rows[f"down_{g.id}_{t}"]
+        assert (up.sense, up.rhs, down.sense, down.rhs) == (GE, 0.0, GE, -float(n))
+        assert up.coeffs == {**dict.fromkeys(window, 1.0), p.col(f"y_{g.id}_{t}"): -float(n)}
+        assert down.coeffs == {**dict.fromkeys(window, -1.0), p.col(f"z_{g.id}_{t}"): -float(n)}
+    tail = rows[f"up_{g.id}_{T - 1}"].coeffs
+    assert sum(p.variables[j].name.startswith("u_") for j in tail) == 2
+    assert tail[p.col(f"y_{g.id}_{T - 1}")] == -2.0
+
+
+def _coal_a_ending(sol, T: int, last: tuple[float, float, float]):
+    """coal_a on from its committed start through T-3, then `last` at T-2, T-1
+    and T, with start-up and shut-down flags that satisfy the logic rows."""
+    sol = copy.deepcopy(sol)
+    prev = 1.0
+    for t, u in enumerate((1.0,) * (T - 3) + last, start=1):
+        sol.commit[("coal_a", t)] = u
+        sol.startup[("coal_a", t)] = max(u - prev, 0.0)
+        sol.shutdown[("coal_a", t)] = max(prev - u, 0.0)
+        prev = u
+    return sol
+
+
+def test_audit_flags_a_switch_back_inside_the_last_window(desk_s, desk_solution):
+    """A start at T-1 with a stop at T breaks the two-hour end window of a
+    4-hour min up; staying on to T satisfies it. Likewise for min down."""
+    s, T = desk_s, desk_s.periods
+
+    def flagged(family, last):
+        bad = check_feasibility(s, _coal_a_ending(desk_solution, T, last))
+        return {v.path for v in bad if v.path.startswith(family)}
+
+    assert flagged("min_up", (0.0, 1.0, 0.0)) == {f"min_up[coal_a,t={T - 1}]"}
+    assert flagged("min_up", (0.0, 1.0, 1.0)) == set()
+    assert flagged("min_down", (1.0, 0.0, 1.0)) == {f"min_down[coal_a,t={T - 1}]"}
+    assert flagged("min_down", (1.0, 0.0, 0.0)) == set()
 
 
 def test_uniform_reserve_option(desk_s):
@@ -250,8 +291,6 @@ def test_audit_passes_on_true_solution(desk_s, desk_solution):
 
 
 def test_audit_catches_injected_violations(desk_s, desk_solution):
-    import copy
-
     sol = copy.deepcopy(desk_solution)
     g = desk_s.committed_units()[0]
     sol.power[(g.id, 3)] += 7.0  # breaks balance, maybe cap

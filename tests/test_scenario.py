@@ -1,16 +1,22 @@
 """Scenario model: serialization round-trips and invariant enforcement."""
 
+import copy
 import dataclasses
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import battery_scenario, desk_scenario, hydro_heavy_scenario, random_scenario
+from fcuc.cli import main
 from fcuc.scenario import (
     Battery,
     ScenarioParseError,
     ScenarioValidationError,
+    Violation,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -136,3 +142,72 @@ def test_serialized_form_is_pure_json(data):
     doc = scenario_to_dict(random_scenario(seed))
     rebuilt = json.loads(json.dumps(doc))
     assert scenario_from_dict(rebuilt) == scenario_from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+#: the battery desk day holds every scenario dataclass: thermal, reservoir and
+#: run-of-river hydro, solar, a GFM and a GFL battery and a condenser
+DOC = json.loads(json.dumps(scenario_to_dict(battery_scenario())))
+
+
+def _numbers(node: dict, prefix: str = ""):
+    """(keys, violation path) of every number in a scenario document."""
+    for key, value in node.items():
+        path = prefix + key
+        if isinstance(value, dict):
+            for keys, where in _numbers(value, f"{path}."):
+                yield (key, *keys), where
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    for keys, where in _numbers(item, f"{path}[{i}]({item['id']})."):
+                        yield (key, i, *keys), where
+                else:
+                    yield (key, i), f"{path}[{i}]"
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield (key,), path
+
+
+NUMBERS = list(_numbers(DOC))
+
+
+def _with(keys: tuple, value: float) -> dict:
+    doc = copy.deepcopy(DOC)
+    node = doc
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    return doc
+
+
+def test_every_non_finite_number_is_named_by_validation():
+    assert len(NUMBERS) > 150  # scalars, unit fields and every profile entry
+    for keys, where in NUMBERS:
+        for value in NON_FINITE:
+            with pytest.raises(ScenarioValidationError) as err:
+                scenario_from_dict(_with(keys, value))
+            assert Violation(where, "must be finite") in err.value.violations, where
+
+
+@settings(max_examples=60, deadline=None)
+@given(number=st.sampled_from(NUMBERS), value=st.sampled_from(NON_FINITE))
+# each once ended in a traceback (horizon, damping) or in `compliant True` (QSS)
+@example(number=(("dynamics", "horizon_s"), "dynamics.horizon_s"), value=math.inf)
+@example(number=(("load_damping_mw_per_pu",), "load_damping_mw_per_pu"), value=math.inf)
+@example(number=(("limits", "qss_max_dev_hz"), "limits.qss_max_dev_hz"), value=math.inf)
+def test_a_non_finite_number_is_rejected_by_the_loader_and_the_cli(tmp_path_factory, number, value):
+    keys, where = number
+    path = tmp_path_factory.mktemp("non_finite") / "scenario.json"
+    path.write_text(json.dumps(_with(keys, value)))  # NaN and Infinity, as JSON extensions
+    with pytest.raises(ScenarioValidationError):
+        load_scenario(str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["simulate", "--scenario", str(path), "--hour", "12"])
+    assert rc == 1
+    assert out.getvalue() == ""  # no metrics, so never `compliant True`
+    assert f"{where}: must be finite" in err.getvalue()
