@@ -111,8 +111,8 @@ class NadirCut:
     def coeff(self, tech: TechClass) -> float:
         return self.coeffs.get(tech, 0.0)
 
-    def satisfied(self, capacities_mw: dict[TechClass, float], tol: float = 0.0) -> bool:
-        return self.lhs(capacities_mw) - self.intercept >= -tol
+    def satisfied(self, capacities_mw: dict[TechClass, float]) -> bool:
+        return self.lhs(capacities_mw) - self.intercept >= 0.0
 
     def lhs(self, capacities_mw: dict[TechClass, float]) -> float:
         return sum(self.coeff(t) * mw for t, mw in capacities_mw.items())
@@ -121,6 +121,23 @@ class NadirCut:
         return (
             tuple(sorted((t.value, round(c, 12)) for t, c in self.coeffs.items() if c != 0.0)),
             round(self.intercept, 12),
+        )
+
+    def to_dict(self) -> dict:
+        """The cut's JSON form; a report or cut file puts its hour first."""
+        return {
+            "coeffs": {t.value: c for t, c in self.coeffs.items()},
+            "intercept": self.intercept,
+            "context_id": self.context_id,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> NadirCut:
+        """The cut of a to_dict document (any other key, such as its hour, is ignored)."""
+        return cls(
+            coeffs={TechClass(k): v for k, v in doc["coeffs"].items()},
+            intercept=doc["intercept"],
+            context_id=doc.get("context_id", ""),
         )
 
 
@@ -152,43 +169,41 @@ def sweep_grid(spec: SweepSpec) -> ComplianceGrid:
     )
 
 
-def _bisect_axes(
-    techs: tuple[TechClass, ...] | list[TechClass],
+def find_edge_points(
+    axes: tuple[TechClass, ...] | list[TechClass],
     context: OnlineMix,
     limits: FrequencyLimits,
-    lo_mw: float,
-    hi_mw: float,
-    tol_mw: float,
-) -> dict[TechClass, float | None]:
-    """Bisect every axis on [lo_mw, hi_mw] in lockstep, the other
-    capacities as in context: one batch of capacity rows for the window
-    ends, then one batch per _SPECULATION_DEPTH halvings, holding every
-    midpoint they could visit. Each axis maps to its edge in MW, lo_mw when
-    it already complies there, or None when its window does not bracket the
-    nadir boundary. Relies on pass-region monotonicity.
+    hi_mw: float = EDGE_HI_MW,
+    tol_mw: float = BISECT_TOL_MW,
+) -> dict[TechClass, float]:
+    """One edge point per axis: the bisected minimum capacity of that
+    technology with every swept technology at zero, to within tol_mw.
+    Every axis is bisected on [0, hi_mw] in lockstep: one batch of capacity
+    rows for the zeroed base and each axis at hi_mw, then one batch per
+    _SPECULATION_DEPTH halvings, holding every midpoint they could visit.
+    An axis that cannot comply alone within [0, hi_mw] is left out; one that
+    already complies at zero gets edge 0.0. Relies on pass-region
+    monotonicity.
     """
-    if tol_mw <= 0:
+    if not tol_mw > 0:
         raise ValueError("tol_mw must be > 0")
-    if not techs:
+    if not axes:
         return {}
+    base = context.with_capacities({t: 0.0 for t in axes})
 
-    def passes(axes: list[TechClass], mws: list[float]) -> np.ndarray:
-        """Compliance of the context with each axis in turn at its mw."""
-        rows = _context_rows(context, len(axes))
-        rows[np.arange(len(axes)), [_column(t) for t in axes]] = mws
+    def passes(techs: list[TechClass], mws: list[float]) -> np.ndarray:
+        """Compliance of the base with each tech in turn at its mw."""
+        rows = _context_rows(base, len(techs))
+        rows[np.arange(len(techs)), [_column(t) for t in techs]] = mws
         return np.array(
-            [met.nadir_hz for met in response_metrics_rows(context, rows)]
+            [met.nadir_hz for met in response_metrics_rows(base, rows)]
         ) >= limits.nadir_min_hz
 
-    # the lower ends are one row when the context already holds every axis at lo_mw
-    shared_lo = all(context.tech(t).online_mw == lo_mw for t in techs)
-    lows = list(techs[:1] if shared_lo else techs)
-    ends = passes([*lows, *techs], [lo_mw] * len(lows) + [hi_mw] * len(techs))
-    lo_ok, hi_ok = ends[:len(lows)], ends[len(lows):]
-    if shared_lo:
-        lo_ok = lo_ok.repeat(len(techs))
-    found = {t: lo_mw if hi else None for t, lo, hi in zip(techs, lo_ok, hi_ok) if lo or not hi}
-    windows = {t: (lo_mw, hi_mw) for t, lo, hi in zip(techs, lo_ok, hi_ok) if hi and not lo}
+    # the zeroed base is one row: the first axis at 0 MW
+    ends = passes([axes[0], *axes], [0.0] + [hi_mw] * len(axes))
+    base_ok, hi_ok = ends[0], dict(zip(axes, ends[1:]))
+    found = {t: 0.0 for t in axes if hi_ok[t] and base_ok}
+    windows = {t: (0.0, hi_mw) for t in axes if hi_ok[t] and not base_ok}
     while any(hi - lo > tol_mw for lo, hi in windows.values()):
         # the windows of the next halvings, a tree pruned where one is within tol_mw
         nodes, level = [], list(windows.items())
@@ -201,44 +216,22 @@ def _bisect_axes(
         for (tech, (lo, hi)), ok in zip(nodes, passes([t for t, _ in nodes], mids)):
             if windows[tech] == (lo, hi):
                 windows[tech] = (lo, 0.5 * (lo + hi)) if ok else (0.5 * (lo + hi), hi)
-    return {t: windows[t][1] if t in windows else found[t] for t in techs}
+    return {t: windows[t][1] if t in windows else found[t] for t in axes if hi_ok[t]}
 
 
 def bisect_min_capacity(
     tech: TechClass,
     context: OnlineMix,
     limits: FrequencyLimits,
-    lo_mw: float = 0.0,
     hi_mw: float = EDGE_HI_MW,
     tol_mw: float = BISECT_TOL_MW,
 ) -> float:
     """Smallest online capacity in MW of `tech` (others as in context)
-    passing the nadir requirement, to within tol_mw; lo_mw when it already
-    passes there. Relies on pass-region monotonicity.
+    passing the nadir requirement, to within tol_mw; 0.0 when it already
+    passes there, else BracketingError when it fails at hi_mw.
     """
-    result = _bisect_axes([tech], context, limits, lo_mw, hi_mw, tol_mw)[tech]
-    if result is None:
-        raise BracketingError(
-            f"{tech.value}: nadir requirement infeasible on window [{lo_mw}, {hi_mw}] MW"
-        )
-    return result
-
-
-def find_edge_points(
-    axes: tuple[TechClass, ...] | list[TechClass],
-    context: OnlineMix,
-    limits: FrequencyLimits,
-    hi_mw: float = EDGE_HI_MW,
-    tol_mw: float = BISECT_TOL_MW,
-) -> dict[TechClass, float]:
-    """One edge point per axis: the bisected minimum capacity of that
-    technology with every swept technology at zero, all axes bisected in
-    lockstep. An axis that cannot comply alone within [0, hi_mw] is left
-    out; one that already complies at zero gets edge 0.0.
-    """
-    base = context.with_capacities({t: 0.0 for t in axes})
-    found = _bisect_axes(axes, base, limits, 0.0, hi_mw, tol_mw)
-    return {t: mw for t, mw in found.items() if mw is not None}
+    edges = find_edge_points([tech], context, limits, hi_mw, tol_mw)
+    return require_edges(edges, [tech], hi_mw)[tech]
 
 
 def require_edges(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from .boundary import DEFAULT_GRANULARITY_MW, BracketingError, SweepAxis, SweepSpec, find_edge_points, fit_hyperplane, make_conservative, require_edges, sweep_grid
 from .drivers import DEFAULT_ESCALATION, DEFAULT_MAX_ITER, compare_runs, load_report, run_industry, run_proposed, save_report, write_dispatch_table
@@ -60,13 +61,24 @@ def _parse_axis(text: str) -> SweepAxis:
         raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
 
 
+def _parse_finite(text: str) -> float:
+    """The value of a float option: a number, neither NaN nor infinite."""
+    try:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("must be finite")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
+    return value
+
+
 def _parse_capacity(text: str) -> tuple[TechClass, float]:
     tech, sep, mw = text.partition("=")
     try:
         if not sep:
             raise ValueError("expected tech=MW")
-        return TechClass(tech), float(mw)
-    except ValueError as exc:
+        return TechClass(tech), _parse_finite(mw)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
 
 
@@ -91,12 +103,7 @@ def _cmd_boundary(args) -> int:
     hi = max(a.max_mw for a in spec.axes)
     edges = require_edges(find_edge_points(techs, context, s.limits, hi_mw=hi), techs, hi)
     cut = make_conservative(fit_hyperplane(edges, context_id=f"hour={args.hour}"), grid)
-    doc = {
-        "hour": args.hour,
-        "coeffs": {t.value: c for t, c in cut.coeffs.items()},
-        "intercept": cut.intercept,
-        "context_id": cut.context_id,
-    }
+    doc = {"hour": args.hour, **cut.to_dict()}
     if args.cut_out:
         with open(args.cut_out, "w") as fh:
             json.dump(doc, fh, indent=2)
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--model", choices=["proposed", "industry"], required=True)
     slv.add_argument("--scenario", required=True)
     slv.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    slv.add_argument("--escalation", type=float, default=DEFAULT_ESCALATION)
+    slv.add_argument("--escalation", type=_parse_finite, default=DEFAULT_ESCALATION)
     slv.add_argument("--report-out")
     slv.add_argument("--dispatch-out")
     slv.set_defaults(func=_cmd_solve)
@@ -216,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="planning analyses")
     plan_sub = plan.add_subparsers(dest="plan_kind", required=True)
     npv = plan_sub.add_parser("npv")
-    npv.add_argument("--savings", type=float, required=True)
-    npv.add_argument("--capex", type=float, required=True)
-    npv.add_argument("--rate", type=float, default=0.06)
+    npv.add_argument("--savings", type=_parse_finite, required=True)
+    npv.add_argument("--capex", type=_parse_finite, required=True)
+    npv.add_argument("--rate", type=_parse_finite, default=0.06)
     npv.add_argument("--years", type=int, default=20)
     npv.set_defaults(func=_cmd_plan_npv)
 
@@ -233,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     eq.set_defaults(func=_cmd_study, kind="equivalence")
     gs = study_sub.add_parser("gfm-sensitivity")
     gs.add_argument("--scenario", required=True)
-    gs.add_argument("--time-constants", type=float, nargs="+", default=[0.02, 0.1, 1.0])
+    gs.add_argument("--time-constants", type=_parse_finite, nargs="+", default=[0.02, 0.1, 1.0])
     gs.add_argument("--backdrop", action="append", type=_parse_capacity, metavar="tech=MW",
                     help="fixed online capacity added to the study context")
     gs.set_defaults(func=_cmd_study, kind="gfm-sensitivity")
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("export-mps", help="write the commitment MILP as free MPS")
     exp.add_argument("--scenario", required=True)
     exp.add_argument("--out", required=True)
-    exp.add_argument("--uniform-reserve", type=float)
+    exp.add_argument("--uniform-reserve", type=_parse_finite)
     exp.set_defaults(func=_cmd_export_mps)
 
     return ap

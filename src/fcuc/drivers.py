@@ -208,7 +208,7 @@ def run_industry(
     """Uniform-reserve model: start at the contingency size and multiply the
     requirement by escalation_factor until simulated nadir and QSS comply.
     """
-    if escalation_factor <= 1.0:
+    if not escalation_factor > 1.0:
         raise ValueError("escalation_factor must be > 1")
 
     def escalate(opts: BuildOptions, failing: list[int]) -> BuildOptions:
@@ -307,15 +307,7 @@ def report_to_dict(r: RunReport) -> dict:
             cls: {str(t): v for t, v in hours.items()}
             for cls, hours in r.hourly_committed_mw.items()
         },
-        "cuts": [
-            {
-                "hour": h,
-                "coeffs": {cls.value: c for cls, c in cut.coeffs.items()},
-                "intercept": cut.intercept,
-                "context_id": cut.context_id,
-            }
-            for h, cut in r.cuts
-        ],
+        "cuts": [{"hour": h, **cut.to_dict()} for h, cut in r.cuts],
         "final_reserve_mw": r.final_reserve_mw,
         "reserve_trajectory_mw": r.reserve_trajectory_mw,
         "wall_time_s": r.wall_time_s,
@@ -337,17 +329,7 @@ def report_from_dict(d: dict) -> RunReport:
             cls: {int(t): v for t, v in hours.items()}
             for cls, hours in d.get("hourly_committed_mw", {}).items()
         },
-        cuts=[
-            (
-                c["hour"],
-                NadirCut(
-                    coeffs={TechClass(k): v for k, v in c["coeffs"].items()},
-                    intercept=c["intercept"],
-                    context_id=c.get("context_id", ""),
-                ),
-            )
-            for c in d.get("cuts", [])
-        ],
+        cuts=[(c["hour"], NadirCut.from_dict(c)) for c in d.get("cuts", [])],
         final_reserve_mw=d.get("final_reserve_mw"),
         reserve_trajectory_mw=list(d.get("reserve_trajectory_mw", [])),
         wall_time_s=d.get("wall_time_s", 0.0),

@@ -317,7 +317,7 @@ def _assemble(block: _Block, caps: np.ndarray) -> _Systems:
         i = int(np.argmax(bad.any(axis=1) | zero_inertia))
         if bad[i].any():
             cls = list(TechClass)[int(np.argmax(bad[i]))]
-            raise ValueError(f"{cls.value}: online capacity must be >= 0")
+            raise ValueError(f"{cls.value}: online capacity must be finite and >= 0")
         raise ZeroInertiaError(
             "cannot disturb a zero-inertia system "
             f"(contingency {block.contexts[i // per_context].contingency_mw} MW, inertia 0)"

@@ -196,8 +196,11 @@ class SystemScenario:
         """Load damping K^D for 1-based hour t, scaled with that hour's demand.
 
         The scenario-level coefficient is referenced to the average demand, so
-        higher-demand hours damp more.
+        higher-demand hours damp more. Every mix of an hour reads it, so it
+        refuses an hour outside 1..periods.
         """
+        if not 1 <= t <= self.periods:
+            raise ValueError(f"hour {t} out of range 1..{self.periods}")
         avg = sum(self.demand) / len(self.demand)
         if avg <= 0:
             return self.load_damping_mw_per_pu

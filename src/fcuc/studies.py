@@ -75,15 +75,14 @@ class EquivalenceResult:
     ratio_b_per_a: float  # MW of b equivalent to 1 MW of a
 
 
-def study_context(s: SystemScenario, hour: int | None = None) -> OnlineMix:
-    """Sweep context for planning studies: committed classes at zero, constant
-    classes at rating, class defaults filled in where the scenario has no
-    units of a class (so any technology can be swept).
+def study_context(s: SystemScenario) -> OnlineMix:
+    """Sweep context for planning studies at the hour of demand closest to
+    the average: committed classes at zero, constant classes at rating, class
+    defaults filled in where the scenario has no units of a class (so any
+    technology can be swept).
     """
-    if hour is None:
-        # hour of average demand (closest)
-        avg = sum(s.demand) / len(s.demand)
-        hour = min(range(1, s.periods + 1), key=lambda t: abs(s.demand[t - 1] - avg))
+    avg = sum(s.demand) / len(s.demand)
+    hour = min(range(1, s.periods + 1), key=lambda t: abs(s.demand[t - 1] - avg))
     mix = fleet_mix(s, hour)
     for cls in TechClass:
         st = mix.tech(cls)
@@ -136,7 +135,7 @@ def gfm_sensitivity(
     tol_mw: float = BISECT_TOL_MW,
 ) -> list[tuple[float, EquivalenceResult]]:
     """GFM-vs-SC equivalence re-evaluated for each inverter response lag."""
-    if any(tc <= 0 for tc in time_constants_s):
+    if not all(tc > 0 for tc in time_constants_s):
         raise ValueError("time constants must be positive")
     out = []
     base = context if context is not None else study_context(s)

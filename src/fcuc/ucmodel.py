@@ -112,7 +112,7 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
     system reserve, inertia with its RoCoF floor, and the nadir cut rows.
     """
     opts = opts or BuildOptions()
-    if opts.uniform_reserve_mw is not None and opts.uniform_reserve_mw < s.contingency_mw:
+    if opts.uniform_reserve_mw is not None and not opts.uniform_reserve_mw >= s.contingency_mw:
         raise ValueError(
             "uniform reserve requirement must not be below the contingency "
             f"({opts.uniform_reserve_mw} < {s.contingency_mw})"
@@ -533,7 +533,7 @@ def _fleet_entries(s: SystemScenario, cls: TechClass) -> list[tuple[float, float
 
 
 def _mix(
-    s: SystemScenario, hour: int, entries: dict[TechClass, list[tuple[float, float, float]]]
+    s: SystemScenario, damping: float, entries: dict[TechClass, list[tuple[float, float, float]]]
 ) -> OnlineMix:
     """One OnlineMix from per-class unit entries; the GFM lag is the
     capacity-weighted mean of the scenario's GFM time constants."""
@@ -544,7 +544,7 @@ def _mix(
         dyn = replace(dyn, gfm_lag_s=sum(b.pmax_mw * b.gfm_time_constant_s for b in gfm) / cap)
     return OnlineMix(
         **{cls.value: _aggregate(entries[cls]) for cls in TechClass},
-        load_damping_mw_per_pu=s.damping_at(hour),
+        load_damping_mw_per_pu=damping,
         contingency_mw=s.contingency_mw,
         nominal_freq_hz=s.nominal_freq_hz,
         dynamics=dyn,
@@ -553,8 +553,7 @@ def _mix(
 
 def online_mix(s: SystemScenario, sol: UcSolution, hour: int) -> OnlineMix:
     """Online mix implied by a solution at one hour, for dynamic verification."""
-    if not 1 <= hour <= s.periods:
-        raise ValueError(f"hour {hour} out of range 1..{s.periods}")
+    damping = s.damping_at(hour)  # before the commitments, which an hour out of range lacks
     entries = {cls: _fleet_entries(s, cls) for cls in TechClass}
     for cls in COMMITTED_CLASSES:
         entries[cls] = [
@@ -562,7 +561,7 @@ def online_mix(s: SystemScenario, sol: UcSolution, hour: int) -> OnlineMix:
             for u in units_of(s, cls)
             if sol.commit[(u.id, hour)] > 0.5
         ]
-    return _mix(s, hour, entries)
+    return _mix(s, damping, entries)
 
 
 def fleet_mix(s: SystemScenario, hour: int) -> OnlineMix:
@@ -570,5 +569,5 @@ def fleet_mix(s: SystemScenario, hour: int) -> OnlineMix:
     fleet-aggregate droop/inertia constants; constant classes at full rating.
     Assumes within-class units are dynamically similar.
     """
-    mix = _mix(s, hour, {cls: _fleet_entries(s, cls) for cls in TechClass})
+    mix = _mix(s, s.damping_at(hour), {cls: _fleet_entries(s, cls) for cls in TechClass})
     return mix.with_capacities(dict.fromkeys(COMMITTED_CLASSES, 0.0))

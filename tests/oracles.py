@@ -71,7 +71,7 @@ def validate_mix(mix: OnlineMix) -> None:
     inertia."""
     for cls, state in zip(TechClass, mix.states()):
         if not 0 <= state.online_mw < math.inf:
-            raise ValueError(f"{cls.value}: online capacity must be >= 0")
+            raise ValueError(f"{cls.value}: online capacity must be finite and >= 0")
     if mix.contingency_mw > 0 and mix.system_inertia_mws <= 0:
         raise ZeroInertiaError(
             "cannot disturb a zero-inertia system "

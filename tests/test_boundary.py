@@ -1,5 +1,6 @@
 """Compliance-boundary learning: sweeps, bisection, cuts, conservativeness."""
 
+import json
 import math
 import random
 
@@ -118,8 +119,8 @@ def test_hydro_diminishing_returns():
 
 def test_bisection_matches_linear_scan():
     ctx = _context()
-    res = bisect_min_capacity(TechClass.COMBINED_CYCLE, ctx, LIMITS, 0.0, 4000.0, 0.5)
-    assert res > 0.0  # bracketed: a bracketed edge lies above lo_mw
+    res = bisect_min_capacity(TechClass.COMBINED_CYCLE, ctx, LIMITS, 4000.0, 0.5)
+    assert res > 0.0  # bracketed: a bracketed edge lies above 0 MW
     # independent oracle: fine linear scan for the first passing capacity
     step = 0.5
     scan = None
@@ -136,7 +137,7 @@ def test_bisection_matches_linear_scan():
 
 def test_bisection_boundary_semantics():
     ctx = _context()
-    res = bisect_min_capacity(TechClass.COMBINED_CYCLE, ctx, LIMITS, 0.0, 4000.0, 0.5)
+    res = bisect_min_capacity(TechClass.COMBINED_CYCLE, ctx, LIMITS, 4000.0, 0.5)
     above = response_metrics(
         ctx.with_capacity(TechClass.COMBINED_CYCLE, res)
     ).nadir_hz
@@ -149,19 +150,27 @@ def test_bisection_boundary_semantics():
 
 def test_bisection_already_feasible_and_bracketing_error():
     rich = _context().with_capacity(TechClass.COMBINED_CYCLE, 5000.0)
-    res = bisect_min_capacity(TechClass.STEAM, rich, LIMITS, 0.0, 1000.0)
-    assert res == 0.0  # already feasible at lo_mw
+    res = bisect_min_capacity(TechClass.STEAM, rich, LIMITS, 1000.0)
+    assert res == 0.0  # already feasible at 0 MW
     hopeless = _context(contingency=500.0)
     with pytest.raises(BracketingError):
-        bisect_min_capacity(TechClass.STEAM, hopeless, LIMITS, 0.0, 200.0)
+        bisect_min_capacity(TechClass.STEAM, hopeless, LIMITS, 200.0)
     with pytest.raises(ValueError):
         bisect_min_capacity(TechClass.STEAM, rich, LIMITS, tol_mw=0.0)
 
 
+@pytest.mark.parametrize("tol_mw", [0.0, -1.0, math.nan])
+def test_edge_points_refuse_a_tolerance_that_is_not_positive(tol_mw):
+    # a NaN tolerance once skipped the bisection and returned hi_mw as every edge
+    with pytest.raises(ValueError, match="tol_mw"):
+        find_edge_points([TechClass.STEAM, TechClass.COMBINED_CYCLE], _context(), LIMITS,
+                         hi_mw=6000.0, tol_mw=tol_mw)
+
+
 def test_bisection_deterministic():
     ctx = _context()
-    a = bisect_min_capacity(TechClass.HYDRO_RESERVOIR, ctx, LIMITS, 0.0, 20000.0, 1.0)
-    b = bisect_min_capacity(TechClass.HYDRO_RESERVOIR, ctx, LIMITS, 0.0, 20000.0, 1.0)
+    a = bisect_min_capacity(TechClass.HYDRO_RESERVOIR, ctx, LIMITS, 20000.0, 1.0)
+    b = bisect_min_capacity(TechClass.HYDRO_RESERVOIR, ctx, LIMITS, 20000.0, 1.0)
     assert a == b
 
 
@@ -174,7 +183,6 @@ def test_edge_points_zero_other_axes():
         TechClass.COMBINED_CYCLE,
         ctx.with_capacity(TechClass.STEAM, 0.0),
         LIMITS,
-        0.0,
         6000.0,
     )
     assert edges[TechClass.COMBINED_CYCLE] == pytest.approx(solo)
@@ -311,6 +319,16 @@ def test_vectorised_repair_matches_point_by_point(repair):
     assert repaired.intercept == reference.intercept  # bit-identical, not approx
     if cut.intercept > 0:
         assert repaired.intercept > cut.intercept
+
+
+def test_cut_round_trips_through_its_json_form():
+    cut = NadirCut({TechClass.HYDRO_RESERVOIR: 1.0 / 3.0, TechClass.STEAM: 0.1}, 1.0 + 1e-9,
+                   context_id="hour=7")
+    doc = json.loads(json.dumps(cut.to_dict()))
+    assert list(doc) == ["coeffs", "intercept", "context_id"]
+    assert list(doc["coeffs"]) == ["hydro_reservoir", "steam"]
+    assert NadirCut.from_dict(doc) == cut
+    assert NadirCut.from_dict({"hour": 7, **doc}) == cut
 
 
 def test_cut_key_identifies_equivalent_cuts():

@@ -11,8 +11,9 @@ import pytest
 
 import fcuc.drivers
 from conftest import desk_scenario
+from fcuc.boundary import NadirCut
 from fcuc.cli import EXIT_SOLVER_LIMIT, main
-from fcuc.dynamics import check_compliance, response_metrics
+from fcuc.dynamics import TechClass, check_compliance, response_metrics
 from fcuc.mps import parse_mps
 from fcuc.scenario import load_scenario, save_scenario
 from fcuc.solver import MilpResult
@@ -79,7 +80,34 @@ def test_a_non_finite_capacity_is_a_usage_error(desk_path, capsys, mw):
     ]) == 1
     out, err = capsys.readouterr()
     assert "compliant" not in out
-    assert err.count("online capacity must be >= 0") == 2
+    assert err.count(f"={mw}: {mw}: must be finite") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "gfm-sensitivity", "--scenario", "{desk}", "--time-constants", "0.1", "nan"],
+    ["solve", "--model", "industry", "--scenario", "{desk}", "--escalation", "nan"],
+    ["plan", "npv", "--savings", "nan", "--capex", "1000"],
+    ["plan", "npv", "--savings", "100", "--capex", "inf"],
+    ["export-mps", "--scenario", "{desk}", "--out", "{desk}.mps", "--uniform-reserve", "inf"],
+])
+def test_a_non_finite_option_is_a_usage_error(desk_path, capsys, argv):
+    value = next(a for a in argv if a in ("nan", "inf"))
+    assert main([a.format(desk=desk_path) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f": {value}: must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "boundary"])
+@pytest.mark.parametrize("hour", [0, 25])
+def test_an_hour_out_of_range_is_a_usage_error(desk_path, capsys, command, hour):
+    argv = [command, "--scenario", desk_path, "--hour", str(hour)]
+    if command == "boundary":
+        argv += ["--axis", "combined_cycle:0:1200:200"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"hour {hour} out of range 1..24" in err
 
 
 @pytest.mark.parametrize("flag, value, reason", [
@@ -113,6 +141,10 @@ def test_boundary(desk_path, capsys, tmp_path):
     assert len(lines) == 1 + 7  # inclusive lattice 0..1200 step 200
     doc = json.loads(cut.read_text())
     assert doc["coeffs"] and doc["intercept"] > 0
+    assert list(doc) == ["hour", "coeffs", "intercept", "context_id"]
+    loaded = NadirCut.from_dict(doc)
+    assert loaded.context_id == "hour=1" and loaded.coeff(TechClass.COMBINED_CYCLE) > 0
+    assert {"hour": 1, **loaded.to_dict()} == doc
 
 
 def test_boundary_axis_that_cannot_comply_alone_exit_3(desk_path, capsys):

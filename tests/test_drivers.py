@@ -125,8 +125,9 @@ def test_failed_solve_reports_no_metrics_of_an_earlier_milp(desk, monkeypatch):
 
 
 def test_escalation_factor_must_exceed_one(desk):
-    with pytest.raises(ValueError, match="escalation_factor"):
-        run_industry(desk, escalation_factor=1.0)
+    for factor in (1.0, float("nan")):
+        with pytest.raises(ValueError, match="escalation_factor"):
+            run_industry(desk, escalation_factor=factor)
 
 
 def test_max_iter_must_be_positive(desk):

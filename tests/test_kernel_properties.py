@@ -248,7 +248,8 @@ def test_a_non_finite_capacity_is_an_input_error(context, rows, at, bad):
     with pytest.raises(ValueError) as raised:
         response_metrics_rows(context, rows)
     assert type(raised.value) is ValueError
-    assert str(raised.value) == f"{list(TechClass)[col].value}: online capacity must be >= 0"
+    cls = list(TechClass)[col].value
+    assert str(raised.value) == f"{cls}: online capacity must be finite and >= 0"
 
 
 @settings(max_examples=60, deadline=None)

@@ -230,8 +230,9 @@ def test_uniform_reserve_option(desk_s):
     p = build_fcuc(s, BuildOptions(uniform_reserve_mw=s.contingency_mw * 1.3))
     row = next(r for r in p.rows if r.name == "reserve_1")
     assert row.rhs == pytest.approx(s.contingency_mw * 1.3)
-    with pytest.raises(ValueError, match="uniform reserve"):
-        build_fcuc(s, BuildOptions(uniform_reserve_mw=s.contingency_mw - 1.0))
+    for below in (s.contingency_mw - 1.0, float("nan")):
+        with pytest.raises(ValueError, match="uniform reserve"):
+            build_fcuc(s, BuildOptions(uniform_reserve_mw=below))
 
 
 def test_nadir_cut_row_and_idempotence(desk_s):

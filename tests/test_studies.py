@@ -98,5 +98,6 @@ def test_slower_lag_needs_more_capacity_but_gfm_stays_dominant(lag_sweep):
 
 
 def test_gfm_sensitivity_rejects_nonpositive_lag(desk):
-    with pytest.raises(ValueError, match="positive"):
-        gfm_sensitivity(desk, time_constants_s=(0.02, -1.0))
+    for lag in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            gfm_sensitivity(desk, time_constants_s=(0.02, lag))
