@@ -3,9 +3,10 @@
 Grid sweeps of the dynamic model classify online-capacity combinations as
 pass/fail against the nadir requirement; bisection finds the minimum
 stand-alone capacity per technology (edge points), every axis in
-lockstep; the hyperplane through the edge points becomes a linear cut,
-tightened until no failing lattice point satisfies it. A lattice, or three
-halvings of the bisection, is one batch of capacity rows over one context.
+lockstep, by interpolating on the bisection's own tree of points; the
+hyperplane through the edge points becomes a linear cut, tightened until no
+failing lattice point satisfies it. A lattice, or one round of the edge
+search, is one batch of capacity rows over one context.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
 DEFAULT_GRANULARITY_MW = 50.0
 BISECT_TOL_MW = 1.0  # edge-point resolution
 EDGE_HI_MW = 20000.0  # default top of the edge-point search window
-_SPECULATION_DEPTH = 3  # bisection halvings evaluated per batch, speculatively
+_PROBE_CELLS = (1, 2, 8, 32, 128)  # leaves either side of an edge estimate, probed per round
 
 
 class BracketingError(ValueError):
@@ -178,45 +179,88 @@ def find_edge_points(
 ) -> dict[TechClass, float]:
     """One edge point per axis: the bisected minimum capacity of that
     technology with every swept technology at zero, to within tol_mw.
-    Every axis is bisected on [0, hi_mw] in lockstep: one batch of capacity
-    rows for the zeroed base and each axis at hi_mw, then one batch per
-    _SPECULATION_DEPTH halvings, holding every midpoint they could visit.
-    An axis that cannot comply alone within [0, hi_mw] is left out; one that
-    already complies at zero gets edge 0.0. Relies on pass-region
-    monotonicity.
+    Every axis is searched on [0, hi_mw] in lockstep, on the points that
+    bisection can visit: one batch of capacity rows for the zeroed base and
+    each axis at hi_mw, then one batch per round. A round keeps, per axis, a
+    failing and a passing point; it evaluates the points _PROBE_CELLS leaves
+    either side of a regula falsi estimate on 1 / (f0 - nadir), and an end
+    inside the bracket of the leaf at its midpoint, then narrows the bracket
+    to the results, until it is one leaf. That leaf's hi is the edge: under
+    pass-region monotonicity, bit for bit the serial bisection's. An axis
+    that cannot comply alone within [0, hi_mw] is left out; one that already
+    complies at zero gets edge 0.0.
     """
     if not tol_mw > 0:
         raise ValueError("tol_mw must be > 0")
     if not axes:
         return {}
     base = context.with_capacities({t: 0.0 for t in axes})
+    f0, floor = base.nominal_freq_hz, limits.nadir_min_hz
 
-    def passes(techs: list[TechClass], mws: list[float]) -> np.ndarray:
-        """Compliance of the base with each tech in turn at its mw."""
+    def nadirs(techs: list[TechClass], mws: list[float]) -> list[float]:
+        """Nadir of the base with each tech in turn at its mw."""
         rows = _context_rows(base, len(techs))
         rows[np.arange(len(techs)), [_column(t) for t in techs]] = mws
-        return np.array(
-            [met.nadir_hz for met in response_metrics_rows(base, rows)]
-        ) >= limits.nadir_min_hz
+        return [met.nadir_hz for met in response_metrics_rows(base, rows)]
 
     # the zeroed base is one row: the first axis at 0 MW
-    ends = passes([axes[0], *axes], [0.0] + [hi_mw] * len(axes))
-    base_ok, hi_ok = ends[0], dict(zip(axes, ends[1:]))
-    found = {t: 0.0 for t in axes if hi_ok[t] and base_ok}
-    windows = {t: (0.0, hi_mw) for t in axes if hi_ok[t] and not base_ok}
-    while any(hi - lo > tol_mw for lo, hi in windows.values()):
-        # the windows of the next halvings, a tree pruned where one is within tol_mw
-        nodes, level = [], list(windows.items())
-        for _ in range(_SPECULATION_DEPTH):
-            nodes += (level := [(t, (lo, hi)) for t, (lo, hi) in level if hi - lo > tol_mw])
-            level = [(t, w) for t, (lo, hi) in level
-                     for w in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
-        mids = [0.5 * (lo + hi) for _, (lo, hi) in nodes]
-        # level by level, the one node per level that is an axis's window halves it
-        for (tech, (lo, hi)), ok in zip(nodes, passes([t for t, _ in nodes], mids)):
-            if windows[tech] == (lo, hi):
-                windows[tech] = (lo, 0.5 * (lo + hi)) if ok else (0.5 * (lo + hi), hi)
-    return {t: windows[t][1] if t in windows else found[t] for t in axes if hi_ok[t]}
+    base_nadir, *hi_nadirs = nadirs([axes[0], *axes], [0.0] + [hi_mw] * len(axes))
+    hi_nadir = dict(zip(axes, hi_nadirs))
+    edges = {t: 0.0 for t in axes if hi_nadir[t] >= floor and base_nadir >= floor}
+    # The bisection's tree, sized only now that the kernel has refused a
+    # non-finite hi_mw. A point is named by its position, an integer in
+    # [0, top]. The root's ends are 0 and top, the node between positions l
+    # and r splits at (l + r) // 2, and at[p] is the very float the
+    # bisection computes at p: 0.5 * (lo + hi), replayed down from the root.
+    # A node is a leaf when the bisection's own `hi - lo > tol_mw` fails on
+    # it. The leftmost path halves exactly, and rounding moves any other
+    # width by less than an ulp of hi_mw, so no node two levels below the
+    # leftmost leaf is open.
+    top, width = 4, hi_mw
+    while width > tol_mw:
+        top, width = 2 * top, 0.5 * width
+    at = {0: 0.0, top: hi_mw}
+
+    def leaf(mw: float) -> tuple[int, int]:
+        """The ends of the leaf that holds mw (the leaf right of it at a point)."""
+        l, r = 0, top
+        while at[r] - at[l] > tol_mw:
+            m = (l + r) >> 1
+            if m not in at:
+                at[m] = 0.5 * (at[l] + at[r])
+            l, r = (m, r) if mw >= at[m] else (l, m)
+        return l, r
+
+    # per open axis: a failing and a passing point, each with its nadir
+    brackets = {t: (0, base_nadir, top, hi_nadir[t])
+                for t in axes if hi_nadir[t] >= floor and base_nadir < floor}
+    while brackets:
+        batch = []
+        for t, (a, nadir_a, b, nadir_b) in list(brackets.items()):
+            lo, hi = at[a], at[b]
+            if leaf(lo)[1] == b:
+                edges[t] = hi
+                del brackets[t]
+                continue
+            # regula falsi on 1 / (f0 - nadir), which is near linear in capacity
+            dev_a, dev_b, dev = f0 - nadir_a, f0 - nadir_b, f0 - floor
+            est = lo + (hi - lo) * dev_b * (dev_a - dev) / (dev * (dev_a - dev_b))
+            l, r = leaf(est)
+            step = at[r] - at[l]
+            mid_l, mid_r = leaf(0.5 * (lo + hi))
+            probes = {mid_l if mid_l > a else mid_r}
+            probes |= {leaf(est + side * (k - 1) * step)[side > 0]
+                       for k in _PROBE_CELLS for side in (-1, 1)}
+            batch += [(t, p) for p in sorted(probes) if a < p < b]
+        if not batch:
+            break
+        # in rising capacity per axis, so the lowest pass ends the bracket
+        # and the highest fail below it starts it
+        for (t, p), nadir in zip(batch, nadirs([t for t, _ in batch], [at[p] for _, p in batch])):
+            a, nadir_a, b, nadir_b = brackets[t]
+            if a < p < b:
+                brackets[t] = (a, nadir_a, p, nadir) if nadir >= floor else (p, nadir, b, nadir_b)
+    return {t: edges[t] for t in axes if t in edges}
 
 
 def bisect_min_capacity(

@@ -51,7 +51,7 @@ def npv_analysis(
     years: int = 20,
 ) -> NpvResult:
     """NPV of a constant annual saving against an upfront cost."""
-    if rate <= 0:
+    if not rate > 0:
         raise ValueError("rate must be > 0")
     if years < 1:
         raise ValueError("years must be >= 1")

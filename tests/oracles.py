@@ -6,9 +6,12 @@ fast paths are checked against. Nothing in `fcuc` imports this module.
 - `validate_mix` checks one mix the way the kernel checks each capacity row,
   one class at a time.
 - `make_conservative_by_points` repairs a cut one lattice point at a time.
+- `serial_bisection` bisects one axis for its edge, one `response_metrics`
+  call per step.
 - `analytic_qss` is the final-value-theorem QSS deviation of a mix.
 - `brute_force_milp` enumerates every binary assignment of a small MILP and
-  solves each continuous LP with HiGHS (`scipy.optimize.linprog`).
+  solves each continuous LP with HiGHS: one model per instance, through
+  scipy's bundled bindings, else `scipy.optimize.linprog` per LP.
 - `without_rows` copies a MILP without one family of rows, such as the
   `rqss_*` rows that tie each unit's QSS reserve cap to its commitment.
 - `lp_bound` is the optimum of a MILP's LP relaxation.
@@ -21,7 +24,13 @@ import math
 import time
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.sparse
+from scipy.optimize import OptimizeResult, linprog
+
+try:  # private to scipy, so `linprog` stands in where it is missing
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:
+    _highs = None
 
 from fcuc.boundary import ComplianceGrid, NadirCut
 from fcuc.dynamics import (
@@ -32,6 +41,7 @@ from fcuc.dynamics import (
     TechClass,
     TechState,
     ZeroInertiaError,
+    response_metrics,
 )
 from fcuc.milp import MilpProblem
 from fcuc.scenario import DynamicParams
@@ -98,6 +108,28 @@ def make_conservative_by_points(cut: NadirCut, grid: ComplianceGrid) -> NadirCut
     return NadirCut(coeffs=dict(cut.coeffs), intercept=intercept, context_id=cut.context_id)
 
 
+def serial_bisection(
+    tech: TechClass, context: OnlineMix, lo: float, hi: float, tol: float, nadir_min_hz: float
+) -> float | None:
+    """The textbook bisection of tech's capacity on [lo, hi] to within tol,
+    one `response_metrics` call per step: None when hi fails the nadir
+    floor, lo when lo already passes, else the hi of the last window."""
+    def ok(mw):
+        return response_metrics(context.with_capacity(tech, mw)).nadir_hz >= nadir_min_hz
+
+    if not ok(hi):
+        return None
+    if ok(lo):
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def analytic_qss(mix: OnlineMix) -> float:
     """Final-value-theorem QSS deviation in Hz: f0 dPe / (K^D + sum S/R)."""
     if mix.contingency_mw == 0:
@@ -125,22 +157,57 @@ def without_rows(p: MilpProblem, prefix: str) -> MilpProblem:
     return q
 
 
-def _lp_solver(p: MilpProblem):
+def _lp_solver(p: MilpProblem, use_linprog: bool = _highs is None):
     """A function of column bounds (lb, ub) that solves the LP of `p`'s rows
-    with HiGHS; the matrices are built once."""
+    with HiGHS. The instance goes once into one model of scipy's bundled
+    HiGHS bindings, and each call changes only the column bounds that differ
+    from the last call's (the binaries, in an enumeration). With
+    `use_linprog`, the path taken when those private bindings are missing,
+    each call passes the whole problem to `linprog` instead."""
     c = p.objective()
     a_ub, b_ub, a_eq, b_eq = p.split_rows()
+    if use_linprog:
+        def solve(lb: np.ndarray, ub: np.ndarray):
+            return linprog(
+                c,
+                A_ub=a_ub if a_ub.shape[0] else None,
+                b_ub=b_ub if len(b_ub) else None,
+                A_eq=a_eq if a_eq.shape[0] else None,
+                b_eq=b_eq if len(b_eq) else None,
+                bounds=np.column_stack([lb, ub]),
+                method="highs",
+            )
+
+        return solve
+
+    a = scipy.sparse.vstack([a_ub, a_eq]).tocsc()
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[1]
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = current = [bound.copy() for bound in p.bounds()]
+    lp.row_lower_ = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
+    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    model = _highs._Highs()
+    model.setOptionValue("output_flag", False)
+    model.passModel(lp)
+    statuses = {_highs.HighsModelStatus.kOptimal: 0, _highs.HighsModelStatus.kInfeasible: 2,
+                _highs.HighsModelStatus.kUnbounded: 3}  # as linprog numbers them
 
     def solve(lb: np.ndarray, ub: np.ndarray):
-        return linprog(
-            c,
-            A_ub=a_ub if a_ub.shape[0] else None,
-            b_ub=b_ub if len(b_ub) else None,
-            A_eq=a_eq if a_eq.shape[0] else None,
-            b_eq=b_eq if len(b_eq) else None,
-            bounds=np.column_stack([lb, ub]),
-            method="highs",
-        )
+        cols = np.flatnonzero((lb != current[0]) | (ub != current[1]))
+        if cols.size:
+            model.changeColsBounds(cols.size, cols.astype(np.int32), lb[cols], ub[cols])
+            current[0][cols], current[1][cols] = lb[cols], ub[cols]
+        model.run()
+        status = model.getModelStatus()
+        res = OptimizeResult(status=statuses.get(status, 4), message=model.modelStatusToString(status))
+        if res.status == 0:
+            res.fun = model.getInfo().objective_function_value
+            res.x = np.array(model.getSolution().col_value)
+        return res
 
     return solve
 

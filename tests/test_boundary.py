@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fcuc.boundary
 from fcuc.boundary import (
@@ -24,7 +24,7 @@ from fcuc.boundary import (
 )
 from fcuc.dynamics import TechClass, response_metrics
 from fcuc.scenario import FrequencyLimits
-from oracles import make_conservative_by_points, make_mix
+from oracles import make_conservative_by_points, make_mix, serial_bisection
 
 LIMITS = FrequencyLimits(2.0, 49.3, 0.8)
 
@@ -167,6 +167,13 @@ def test_edge_points_refuse_a_tolerance_that_is_not_positive(tol_mw):
                          hi_mw=6000.0, tol_mw=tol_mw)
 
 
+@pytest.mark.parametrize("hi_mw", [math.inf, math.nan])
+def test_edge_points_refuse_a_window_top_that_is_not_finite(hi_mw):
+    # an infinite top, halved until within tol_mw, would never get there
+    with pytest.raises(ValueError, match="finite"):
+        find_edge_points([TechClass.STEAM], _context(), LIMITS, hi_mw=hi_mw)
+
+
 def test_bisection_deterministic():
     ctx = _context()
     a = bisect_min_capacity(TechClass.HYDRO_RESERVOIR, ctx, LIMITS, 20000.0, 1.0)
@@ -188,23 +195,6 @@ def test_edge_points_zero_other_axes():
     assert edges[TechClass.COMBINED_CYCLE] == pytest.approx(solo)
 
 
-def _serial_bisection(tech, context, lo, hi, tol):
-    """Reference: one response_metrics call per step, one axis at a time."""
-    def ok(mw):
-        met = response_metrics(context.with_capacity(tech, mw))
-        return met.nadir_hz >= LIMITS.nadir_min_hz
-
-    if ok(lo) and ok(hi):
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def test_edge_points_bisect_in_lockstep_from_one_base(monkeypatch):
     ctx = _context().with_capacity(TechClass.STEAM, 700.0)
     axes = [TechClass.STEAM, TechClass.COMBINED_CYCLE, TechClass.HYDRO_RESERVOIR]
@@ -219,17 +209,50 @@ def test_edge_points_bisect_in_lockstep_from_one_base(monkeypatch):
 
     monkeypatch.setattr(fcuc.boundary, "response_metrics_rows", recorded)
     edges = find_edge_points(axes, ctx, LIMITS, hi_mw=6000.0, tol_mw=1.0)
-    halvings, width = 0, 6000.0
-    while width > 1.0:
-        width, halvings = width / 2, halvings + 1
     assert sum(mix == base for mixes in batches for mix in mixes) == 1
-    # the window ends, then one batch per three halvings: a depth-3 tree of
-    # midpoints, at most 7 per axis
-    assert len(batches) <= 2 + math.ceil(halvings / 3)
-    assert all(len(mixes) <= 7 * len(axes) for mixes in batches[1:])
+    # the window ends, then rounds of at most 11 points per axis (ten around
+    # the interpolated edge, one at the bracket's midpoint); two rounds here,
+    # where three halvings a batch took 2 + ceil(13 / 3) = 7 batches
+    assert len(batches) <= 3
+    assert all(len(mixes) <= 11 * len(axes) for mixes in batches[1:])
     # every edge is bit-identical to the serial one-axis bisection
     monkeypatch.undo()
-    assert edges == {t: _serial_bisection(t, base, 0.0, 6000.0, 1.0) for t in axes}
+    assert edges == {t: serial_bisection(t, base, 0.0, 6000.0, 1.0, LIMITS.nadir_min_hz)
+                     for t in axes}
+
+
+#: the classes with a governor, whose capacity alone can arrest a nadir
+GOVERNED = (TechClass.STEAM, TechClass.COMBINED_CYCLE, TechClass.HYDRO_RESERVOIR, TechClass.GFM)
+
+
+@st.composite
+def edge_searches(draw):
+    """A context of every class at 0 or 50-900 MW (condensers always
+    online), one to three governed axes, a window top of ten times a drawn
+    fleet capacity (rarely dyadic, so its halvings round) and a tolerance."""
+    caps = {c: draw(st.one_of(st.just(0.0), st.floats(50.0, 900.0))) for c in TechClass}
+    caps[TechClass.CONDENSER] = draw(st.floats(50.0, 900.0))
+    context = make_mix(
+        capacities_mw=caps,
+        load_damping_mw_per_pu=draw(st.floats(200.0, 1500.0)),
+        contingency_mw=draw(st.floats(50.0, 400.0)),
+    )
+    axes = draw(st.lists(st.sampled_from(GOVERNED), min_size=1, max_size=3, unique=True))
+    return context, axes, 10.0 * draw(st.floats(100.0, 5000.0)), draw(st.floats(0.05, 50.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(search=edge_searches())
+# 0.5 * (lo + hi) rounds from the fifth halving of this window on, and every
+# edge differs in its last bits from the one at j * hi_mw / 2**m
+@example(search=(_context(), list(GOVERNED[:3]), 10.0 * 4887.948034149059, 1.1921348844733997))
+def test_edge_points_match_serial_bisection(search):
+    context, axes, hi_mw, tol_mw = search
+    base = context.with_capacities({t: 0.0 for t in axes})
+    serial = {t: serial_bisection(t, base, 0.0, hi_mw, tol_mw, LIMITS.nadir_min_hz) for t in axes}
+    edges = find_edge_points(axes, context, LIMITS, hi_mw, tol_mw)
+    assert edges == {t: e for t, e in serial.items() if e is not None}
+    assert list(edges) == [t for t in axes if serial[t] is not None]
 
 
 def test_edge_points_leave_out_an_axis_that_cannot_comply_alone():

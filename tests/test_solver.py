@@ -1,5 +1,6 @@
 """HiGHS MILP solves against exhaustive enumeration, and status mapping."""
 
+import itertools
 import pathlib
 import warnings
 
@@ -11,6 +12,7 @@ from fcuc.milp import GE, LE, MilpProblem
 from fcuc.scenario import load_scenario
 from fcuc.solver import solve_milp
 from fcuc.ucmodel import build_fcuc
+import oracles
 from oracles import brute_force_milp, without_rows
 
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "example_scenario.json"
@@ -89,6 +91,29 @@ def test_infeasible_milp_reported():
     p.add_row("lo", {0: 1.0}, GE, 0.6)
     assert solve_milp(p).status == "infeasible"
     assert brute_force_milp(p).status == "infeasible"
+
+
+@pytest.mark.skipif(oracles._highs is None, reason="scipy's bundled HiGHS bindings are missing")
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_oracle_lp_paths_agree_on_every_assignment(seed):
+    """The oracle's one HiGHS model per instance and its `linprog` path give
+    the same status and optimum (1e-9 relative) on every binary assignment
+    of a small instance, infeasible assignments included."""
+    p = build_fcuc(tiny_scenario(seed))
+    model, linprog = oracles._lp_solver(p), oracles._lp_solver(p, use_linprog=True)
+    lb, ub = p.bounds()
+    binaries = p.binary_columns()
+    infeasible = 0
+    for bits in itertools.product((0.0, 1.0), repeat=len(binaries)):
+        lo, hi = lb.copy(), ub.copy()
+        lo[binaries] = hi[binaries] = bits
+        ours, reference = model(lo, hi), linprog(lo, hi)
+        assert ours.status == reference.status, bits
+        if reference.status == 0:
+            assert ours.fun == pytest.approx(reference.fun, rel=1e-9), bits
+        else:
+            infeasible += 1
+    assert 0 < infeasible < 2 ** len(binaries)
 
 
 def test_brute_force_refuses_large_problems():

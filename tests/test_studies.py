@@ -42,6 +42,12 @@ def test_npv_input_validation():
         npv_analysis(1.0, 1.0, years=0)
 
 
+def test_npv_refuses_a_nan_rate():
+    # `rate <= 0` once let NaN through to an NPV of NaN
+    with pytest.raises(ValueError, match="rate"):
+        npv_analysis(100.0, 1000.0, rate=float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # equivalence ratios
 
