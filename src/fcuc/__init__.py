@@ -21,7 +21,6 @@ from .dynamics import (
     assemble_state_space,
     simulate_response,
     response_metrics,
-    response_metrics_batch,
     compute_metrics,
     check_compliance,
 )
@@ -46,7 +45,7 @@ from .ucmodel import (
     online_mix,
 )
 from .solver import MilpResult, solve_milp
-from .mps import export_mps, parse_mps
+from .mps import export_mps
 from .drivers import RunReport, compare_runs, run_industry, run_proposed
 from .studies import NpvResult, equivalence_study, gfm_sensitivity, npv_analysis
 

@@ -92,14 +92,6 @@ class ComplianceGrid:
             caps = tuple(self.axis_values[k][i] for k, i in enumerate(idx))
             yield caps, bool(self.passed[idx]), float(self.nadir_hz[idx])
 
-    def monotone_along_axes(self) -> bool:
-        """More capacity on any axis must never flip pass -> fail."""
-        p = self.passed.astype(np.int8)
-        for k in range(p.ndim):
-            if np.any(np.diff(p, axis=k) < 0):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class NadirCut:
@@ -160,8 +152,8 @@ def sweep_grid(spec: SweepSpec) -> ComplianceGrid:
     rows = _context_rows(spec.context, int(np.prod(shape)))
     for axis, grid in zip(spec.axes, np.meshgrid(*axis_values, indexing="ij")):
         rows[:, _column(axis.tech)] = grid.ravel()
-    nadir = np.array([met.nadir_hz for met in response_metrics_rows(spec.context, rows)])
-    nadir = nadir.reshape(shape)
+    metrics = response_metrics_rows([spec.context], rows, [0] * len(rows))
+    nadir = np.array([met.nadir_hz for met in metrics]).reshape(shape)
     return ComplianceGrid(
         axes=spec.axes,
         axis_values=axis_values,
@@ -201,7 +193,7 @@ def find_edge_points(
         """Nadir of the base with each tech in turn at its mw."""
         rows = _context_rows(base, len(techs))
         rows[np.arange(len(techs)), [_column(t) for t in techs]] = mws
-        return [met.nadir_hz for met in response_metrics_rows(base, rows)]
+        return [met.nadir_hz for met in response_metrics_rows([base], rows, [0] * len(rows))]
 
     # the zeroed base is one row: the first axis at 0 MW
     base_nadir, *hi_nadirs = nadirs([axes[0], *axes], [0.0] + [hi_mw] * len(axes))

@@ -26,7 +26,7 @@ from .boundary import (
     make_conservative,
     sweep_grid,
 )
-from .dynamics import FrequencyMetrics, TechClass, check_compliance, response_metrics_batch
+from .dynamics import FrequencyMetrics, TechClass, check_compliance, response_metrics_rows
 from .dynamics import response_metrics  # noqa: F401  bench/spans.py wraps it here by name
 from .scenario import SystemScenario, Violation
 from .solver import solve_milp
@@ -93,7 +93,9 @@ def _hourly_committed(s: SystemScenario, sol: UcSolution) -> dict[str, dict[int,
 
 def _simulate_all_hours(s: SystemScenario, sol: UcSolution):
     hours = range(1, s.periods + 1)
-    metrics = dict(zip(hours, response_metrics_batch([online_mix(s, sol, t) for t in hours])))
+    mixes = [online_mix(s, sol, t) for t in hours]
+    caps = [mix.capacities_mw() for mix in mixes]
+    metrics = dict(zip(hours, response_metrics_rows(mixes, caps, range(len(mixes)))))
     failing_nadir: list[int] = []
     all_ok = True
     for t, met in metrics.items():

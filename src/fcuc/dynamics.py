@@ -1,8 +1,8 @@
 """Center-of-inertia frequency dynamics: state-space assembly, RK4
 integration (the oracle and the trace exporter), and metric extraction by
-one batched zero-order-hold kernel (response_metrics_batch over mixes,
-response_metrics_rows over capacity rows of one context; response_metrics
-is a batch of one).
+one batched zero-order-hold kernel with one entry point,
+response_metrics_rows: capacity rows, each on the context it names
+(response_metrics is a batch of one).
 
 The model aggregates every frequency-responsive technology into one swing
 equation. Governor paths:
@@ -42,7 +42,6 @@ __all__ = [
     "assemble_state_space",
     "simulate_response",
     "response_metrics",
-    "response_metrics_batch",
     "response_metrics_rows",
     "compute_metrics",
     "check_compliance",
@@ -221,13 +220,6 @@ class _Systems:
     nominal_freq_hz: np.ndarray
 
 
-def _capacities(mixes: Sequence[OnlineMix]) -> np.ndarray:
-    """The online capacities of every mix, (n, 6) MW in TechClass order."""
-    return np.array([mix.capacities_mw() for mix in mixes], dtype=float).reshape(
-        len(mixes), len(TechClass)
-    )
-
-
 def _block(contexts: Sequence[OnlineMix]) -> _Block:
     """The capacity-free block of every context of a stack.
 
@@ -296,22 +288,20 @@ def _block(contexts: Sequence[OnlineMix]) -> _Block:
     )
 
 
-def _assemble(block: _Block, caps: np.ndarray) -> _Systems:
-    """The models of a block's contexts with online capacities caps, (n, 6)
-    MW in TechClass order: a block of one context serves every row, else
-    row i is context i's. Raises the first row's error, in row order: a
-    negative or non-finite capacity (ValueError), or a disturbance on zero
-    inertia (ZeroInertiaError).
+def _assemble(block: _Block, caps: np.ndarray, owner: np.ndarray) -> _Systems:
+    """The models of capacity rows caps, (n, 6) MW in TechClass order, row i
+    on the block's context owner[i]. Raises the first row's error, in row
+    order: a negative or non-finite capacity (ValueError), or a disturbance
+    on zero inertia (ZeroInertiaError).
     """
     n = len(caps)
-    per_context = n // len(block.a)  # rows per context: n or 1
     bad = ~(caps >= 0) | ~np.isfinite(caps)  # negative, NaN or infinite
     # m = sum of 2H S over the classes, added in TechClass order (a bad
     # capacity counts as 0 here: it is reported below, and inf * 0 is NaN)
     m = np.zeros(n)
-    for inertia in (block.two_h * np.where(bad, 0.0, caps)).T:
+    for inertia in (block.two_h[owner] * np.where(bad, 0.0, caps)).T:
         m = m + inertia
-    contingency = block.contingency_mw.repeat(per_context)
+    contingency = block.contingency_mw[owner]
     zero_inertia = (contingency > 0) & (m <= 0)
     if bad.any() or zero_inertia.any():
         i = int(np.argmax(bad.any(axis=1) | zero_inertia))
@@ -320,13 +310,13 @@ def _assemble(block: _Block, caps: np.ndarray) -> _Systems:
             raise ValueError(f"{cls.value}: online capacity must be finite and >= 0")
         raise ZeroInertiaError(
             "cannot disturb a zero-inertia system "
-            f"(contingency {block.contexts[i // per_context].contingency_mw} MW, inertia 0)"
+            f"(contingency {block.contexts[owner[i]].contingency_mw} MW, inertia 0)"
         )
-    a = block.a.repeat(per_context, axis=0)
-    mech = block.mech * caps[:, :len(GOVERNOR_CLASSES), None]
+    a = block.a[owner]
+    mech = block.mech[owner] * caps[:, :len(GOVERNOR_CLASSES), None]
     # swing equation: m delta' = sum(mech MW) - dPe - K^D delta
     swing = mech[:, 0] + mech[:, 1] + mech[:, 2] + mech[:, 3]
-    swing[:, 0] += -block.damping
+    swing[:, 0] += -block.damping[owner]
     # m == 0 only with zero contingency (checked above): the response is
     # identically zero and A's first row stays zero
     disturbed = m > 0
@@ -334,14 +324,13 @@ def _assemble(block: _Block, caps: np.ndarray) -> _Systems:
     a[:, 0, :8] = np.where(disturbed[:, None], swing / m_safe[:, None], 0.0)
     a[:, 0, 8] = np.where(disturbed, -contingency / m_safe, 0.0)
     return _Systems(
-        a, a[:, :8, :8], a[:, :8, 8], mech, m, contingency,
-        block.nominal_freq_hz.repeat(per_context),
+        a, a[:, :8, :8], a[:, :8, 8], mech, m, contingency, block.nominal_freq_hz[owner]
     )
 
 
 def assemble_state_space(mix: OnlineMix) -> LinearSystem:
     """The aggregate swing + governor model of one online mix (see _block)."""
-    sys = _assemble(_block([mix]), _capacities([mix]))
+    sys = _assemble(_block([mix]), np.array([mix.capacities_mw()]), np.zeros(1, dtype=int))
     c = np.zeros(sys.a.shape[-1])
     c[0] = 1.0
     return LinearSystem(
@@ -540,12 +529,12 @@ def _qss_pu(a: np.ndarray, b: np.ndarray, horizon_pu: np.ndarray) -> np.ndarray:
 
 
 def _chunk_metrics(
-    block: _Block, caps: np.ndarray, horizon: float, step: float
+    block: _Block, caps: np.ndarray, owner: np.ndarray, horizon: float, step: float
 ) -> list[FrequencyMetrics]:
-    """Metrics of a chunk of capacity rows (see _assemble) that share the
-    sample grid (horizon, step)."""
+    """Metrics of a chunk of capacity rows (see _assemble) whose contexts
+    share the sample grid (horizon, step)."""
     n = len(caps)
-    systems = _assemble(block, caps)
+    systems = _assemble(block, caps, owner)
     # zero-order hold: exp(step M) advances [x; 1] one sample exactly, for
     # any A; an unstable system overflows, and _sample_search raises
     with np.errstate(over="ignore", invalid="ignore"):
@@ -569,49 +558,45 @@ def _chunk_metrics(
     ]
 
 
-def response_metrics_batch(mixes: Sequence[OnlineMix]) -> list[FrequencyMetrics]:
-    """Metrics of the post-contingency response of every mix, in order.
+def response_metrics_rows(
+    contexts: Sequence[OnlineMix], capacities: np.ndarray, owner: Sequence[int]
+) -> list[FrequencyMetrics]:
+    """Metrics of the post-contingency response of each row of capacities,
+    (n, 6) MW in TechClass order, in order: row i runs on contexts[owner[i]]
+    with the row's capacities in place of that context's online capacities,
+    without building a mix per row.
 
     Nadir and its time come from the exact zero-order-hold propagation of
-    the step response, sampled on the same grid as simulate_response and
-    evaluated for CHUNK_MIXES mixes at a time; RoCoF is dPe f0 / m and the
-    QSS deviation the exact asymptote (DC gain). Each mix's metrics are the
-    same whatever batch it is evaluated in.
+    the step response, sampled on the same grid as simulate_response; rows
+    are grouped by their context's (horizon_s, step_s) and evaluated
+    CHUNK_MIXES at a time. RoCoF is dPe f0 / m and the QSS deviation the
+    exact asymptote (DC gain). The capacity-free part of the model is built
+    once per context, and each row's metrics are the same whatever batch it
+    is evaluated in.
     """
-    mixes = list(mixes)
+    caps = np.asarray(capacities, dtype=float).reshape(-1, len(TechClass))
+    owner = np.asarray(owner, dtype=int)
+    owners = owner.tolist()
+    if owner.shape != (len(caps),) or not set(owners) <= set(range(len(contexts))):
+        raise ValueError("owner must name one of the contexts for every capacity row")
+    block = _block(contexts)
+    keys = [(ctx.dynamics.horizon_s, ctx.dynamics.step_s) for ctx in contexts]
     grids: dict[tuple[float, float], list[int]] = {}
-    for i, mix in enumerate(mixes):
-        grids.setdefault((mix.dynamics.horizon_s, mix.dynamics.step_s), []).append(i)
-    out: list[FrequencyMetrics] = [None] * len(mixes)  # type: ignore[list-item]
+    for i, k in enumerate(owners):
+        grids.setdefault(keys[k], []).append(i)
+    out: list[FrequencyMetrics] = [None] * len(caps)  # type: ignore[list-item]
     for (horizon, step), members in grids.items():
         for c in range(0, len(members), CHUNK_MIXES):
             chunk = members[c:c + CHUNK_MIXES]
-            contexts = [mixes[i] for i in chunk]
-            metrics = _chunk_metrics(_block(contexts), _capacities(contexts), horizon, step)
+            metrics = _chunk_metrics(block, caps[chunk], owner[chunk], horizon, step)
             for i, met in zip(chunk, metrics):
                 out[i] = met
     return out
 
 
-def response_metrics_rows(context: OnlineMix, capacities: np.ndarray) -> list[FrequencyMetrics]:
-    """Metrics of the context's response with each row of capacities, (n, 6)
-    MW in TechClass order, in place of its online capacities: the same as
-    response_metrics_batch of the matching context.with_capacities mixes,
-    without building a mix per row. The capacity-free part of the model is
-    built once for the context.
-    """
-    caps = np.asarray(capacities, dtype=float).reshape(-1, len(TechClass))
-    block = _block([context])
-    horizon, step = context.dynamics.horizon_s, context.dynamics.step_s
-    out: list[FrequencyMetrics] = []
-    for c in range(0, len(caps), CHUNK_MIXES):
-        out += _chunk_metrics(block, caps[c:c + CHUNK_MIXES], horizon, step)
-    return out
-
-
 def response_metrics(mix: OnlineMix) -> FrequencyMetrics:
     """Metrics of the post-contingency response of one mix: a batch of one."""
-    return response_metrics_batch([mix])[0]
+    return response_metrics_rows([mix], [mix.capacities_mw()], [0])[0]
 
 
 def compute_metrics(trace: FrequencyTrace) -> FrequencyMetrics:

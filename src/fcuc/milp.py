@@ -87,9 +87,6 @@ class MilpProblem:
     def col(self, name: str) -> int:
         return self._col[name]
 
-    def has_col(self, name: str) -> bool:
-        return name in self._col
-
     # -- views --
 
     @property

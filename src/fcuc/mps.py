@@ -1,8 +1,7 @@
-"""Free-format MPS export/import for MilpProblem.
+"""Free-format MPS export for MilpProblem.
 
-Column names follow the model builder's scheme (`u_<unit>_<t>`, ...). The
-parser exists for round-trip validation and to feed exported files to an
-external solver in the cross-check tests.
+Column names follow the model builder's scheme (`u_<unit>_<t>`, ...), so an
+exported file can be read by an external solver.
 """
 
 from __future__ import annotations
@@ -11,10 +10,9 @@ import math
 
 from .milp import EQ, GE, LE, MilpProblem
 
-__all__ = ["export_mps", "parse_mps"]
+__all__ = ["export_mps"]
 
 _SENSE_TO_TAG = {LE: "L", GE: "G", EQ: "E"}
-_TAG_TO_SENSE = {v: k for k, v in _SENSE_TO_TAG.items()}
 
 
 def export_mps(p: MilpProblem, path: str) -> None:
@@ -59,91 +57,3 @@ def export_mps(p: MilpProblem, path: str) -> None:
 
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def parse_mps(path: str) -> MilpProblem:
-    """Read a free-format MPS file produced by export_mps (or compatible)."""
-    p = MilpProblem()
-    section = None
-    obj_name = None
-    row_specs: list[tuple[str, str]] = []
-    col_entries: dict[str, list[tuple[str, float]]] = {}
-    col_order: list[str] = []
-    int_cols: set[str] = set()
-    rhs: dict[str, float] = {}
-    bounds: list[tuple[str, str, float | None]] = []
-    in_int = False
-
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("*"):
-                continue
-            if not line[0].isspace():
-                parts = line.split()
-                section = parts[0].upper()
-                if section == "NAME" and len(parts) > 1:
-                    p.name = parts[1]
-                if section == "ENDATA":
-                    break
-                continue
-            parts = line.split()
-            if section == "ROWS":
-                tag, name = parts[0].upper(), parts[1]
-                if tag == "N":
-                    if obj_name is None:
-                        obj_name = name
-                else:
-                    row_specs.append((name, _TAG_TO_SENSE[tag]))
-            elif section == "COLUMNS":
-                if len(parts) >= 3 and parts[1].strip("'") == "MARKER":
-                    in_int = parts[2].strip("'") == "INTORG"
-                    continue
-                col = parts[0]
-                if col not in col_entries:
-                    col_entries[col] = []
-                    col_order.append(col)
-                    if in_int:
-                        int_cols.add(col)
-                for k in range(1, len(parts) - 1, 2):
-                    col_entries[col].append((parts[k], float(parts[k + 1])))
-            elif section == "RHS":
-                for k in range(1, len(parts) - 1, 2):
-                    rhs[parts[k]] = float(parts[k + 1])
-            elif section == "BOUNDS":
-                kind, col = parts[0].upper(), parts[2]
-                val = float(parts[3]) if len(parts) > 3 else None
-                bounds.append((kind, col, val))
-
-    for col in col_order:
-        cost = 0.0
-        for rname, val in col_entries[col]:
-            if rname == obj_name:
-                cost += val
-        p.add_var(col, binary=col in int_cols, cost=cost)
-
-    row_coeffs: dict[str, dict[int, float]] = {name: {} for name, _ in row_specs}
-    for col in col_order:
-        j = p.col(col)
-        for rname, val in col_entries[col]:
-            if rname != obj_name:
-                row_coeffs[rname][j] = row_coeffs[rname].get(j, 0.0) + val
-    for name, sense in row_specs:
-        p.add_row(name, row_coeffs[name], sense, rhs.get(name, 0.0))
-
-    for kind, col, val in bounds:
-        v = p.variables[p.col(col)]
-        if kind == "UP":
-            v.ub = val  # type: ignore[assignment]
-        elif kind == "LO":
-            v.lb = val  # type: ignore[assignment]
-        elif kind == "FX":
-            v.lb = v.ub = val  # type: ignore[assignment]
-        elif kind == "BV":
-            v.binary = True
-            v.lb, v.ub = 0.0, 1.0
-        elif kind == "FR":
-            v.lb = -math.inf
-        elif kind == "MI":
-            v.lb = -math.inf
-    return p

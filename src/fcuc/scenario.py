@@ -185,9 +185,6 @@ class SystemScenario:
     def gfm_batteries(self) -> tuple[Battery, ...]:
         return tuple(b for b in self.batteries if b.inverter == "gfm_vsm")
 
-    def gfl_batteries(self) -> tuple[Battery, ...]:
-        return tuple(b for b in self.batteries if b.inverter == "gfl")
-
     def committed_units(self):
         """Units that carry commitment binaries: thermal plus reservoir hydro."""
         return tuple(self.thermal_units) + self.reservoir_units()

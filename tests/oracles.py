@@ -3,6 +3,8 @@ fast paths are checked against. Nothing in `fcuc` imports this module.
 
 - `make_mix` builds an `OnlineMix` from class capacities with the class
   default droop and inertia constants.
+- `own_context_metrics` evaluates a list of mixes in one kernel call, each
+  mix the context of its own row, as the hourly checks do.
 - `validate_mix` checks one mix the way the kernel checks each capacity row,
   one class at a time.
 - `make_conservative_by_points` repairs a cut one lattice point at a time.
@@ -15,6 +17,10 @@ fast paths are checked against. Nothing in `fcuc` imports this module.
 - `without_rows` copies a MILP without one family of rows, such as the
   `rqss_*` rows that tie each unit's QSS reserve cap to its commitment.
 - `lp_bound` is the optimum of a MILP's LP relaxation.
+- `parse_mps` reads an MPS file back into a MILP, the reference of the MPS
+  round-trip tests.
+- `monotone_along_axes`, `has_col` and `gfl_batteries` are views of a
+  compliance grid, a MILP and a scenario that only the tests ask for.
 """
 
 from __future__ import annotations
@@ -37,14 +43,16 @@ from fcuc.dynamics import (
     DEFAULT_DROOP,
     DEFAULT_INERTIA_H,
     GOVERNOR_CLASSES,
+    FrequencyMetrics,
     OnlineMix,
     TechClass,
     TechState,
     ZeroInertiaError,
     response_metrics,
+    response_metrics_rows,
 )
-from fcuc.milp import MilpProblem
-from fcuc.scenario import DynamicParams
+from fcuc.milp import EQ, GE, LE, MilpProblem
+from fcuc.scenario import Battery, DynamicParams, SystemScenario
 from fcuc.solver import MilpResult
 
 
@@ -73,6 +81,11 @@ def make_mix(
         dynamics=dynamics or DynamicParams(),
         **states,  # type: ignore[arg-type]
     )
+
+
+def own_context_metrics(mixes: list[OnlineMix]) -> list[FrequencyMetrics]:
+    """The kernel's metrics of each mix, every mix the context of its own row."""
+    return response_metrics_rows(mixes, [m.capacities_mw() for m in mixes], range(len(mixes)))
 
 
 def validate_mix(mix: OnlineMix) -> None:
@@ -252,3 +265,113 @@ def brute_force_milp(p: MilpProblem, max_binaries: int = 20) -> MilpResult:
         nodes=count,
         wall_time_s=wall,
     )
+
+
+_TAG_TO_SENSE = {"L": LE, "G": GE, "E": EQ}
+
+
+def parse_mps(path: str) -> MilpProblem:
+    """Read a free-format MPS file produced by export_mps (or compatible)."""
+    p = MilpProblem()
+    section = None
+    obj_name = None
+    row_specs: list[tuple[str, str]] = []
+    col_entries: dict[str, list[tuple[str, float]]] = {}
+    col_order: list[str] = []
+    int_cols: set[str] = set()
+    rhs: dict[str, float] = {}
+    bounds: list[tuple[str, str, float | None]] = []
+    in_int = False
+
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("*"):
+                continue
+            if not line[0].isspace():
+                parts = line.split()
+                section = parts[0].upper()
+                if section == "NAME" and len(parts) > 1:
+                    p.name = parts[1]
+                if section == "ENDATA":
+                    break
+                continue
+            parts = line.split()
+            if section == "ROWS":
+                tag, name = parts[0].upper(), parts[1]
+                if tag == "N":
+                    if obj_name is None:
+                        obj_name = name
+                else:
+                    row_specs.append((name, _TAG_TO_SENSE[tag]))
+            elif section == "COLUMNS":
+                if len(parts) >= 3 and parts[1].strip("'") == "MARKER":
+                    in_int = parts[2].strip("'") == "INTORG"
+                    continue
+                col = parts[0]
+                if col not in col_entries:
+                    col_entries[col] = []
+                    col_order.append(col)
+                    if in_int:
+                        int_cols.add(col)
+                for k in range(1, len(parts) - 1, 2):
+                    col_entries[col].append((parts[k], float(parts[k + 1])))
+            elif section == "RHS":
+                for k in range(1, len(parts) - 1, 2):
+                    rhs[parts[k]] = float(parts[k + 1])
+            elif section == "BOUNDS":
+                kind, col = parts[0].upper(), parts[2]
+                val = float(parts[3]) if len(parts) > 3 else None
+                bounds.append((kind, col, val))
+
+    for col in col_order:
+        cost = 0.0
+        for rname, val in col_entries[col]:
+            if rname == obj_name:
+                cost += val
+        p.add_var(col, binary=col in int_cols, cost=cost)
+
+    row_coeffs: dict[str, dict[int, float]] = {name: {} for name, _ in row_specs}
+    for col in col_order:
+        j = p.col(col)
+        for rname, val in col_entries[col]:
+            if rname != obj_name:
+                row_coeffs[rname][j] = row_coeffs[rname].get(j, 0.0) + val
+    for name, sense in row_specs:
+        p.add_row(name, row_coeffs[name], sense, rhs.get(name, 0.0))
+
+    for kind, col, val in bounds:
+        v = p.variables[p.col(col)]
+        if kind == "UP":
+            v.ub = val  # type: ignore[assignment]
+        elif kind == "LO":
+            v.lb = val  # type: ignore[assignment]
+        elif kind == "FX":
+            v.lb = v.ub = val  # type: ignore[assignment]
+        elif kind == "BV":
+            v.binary = True
+            v.lb, v.ub = 0.0, 1.0
+        elif kind == "FR":
+            v.lb = -math.inf
+        elif kind == "MI":
+            v.lb = -math.inf
+    return p
+
+
+def monotone_along_axes(grid: ComplianceGrid) -> bool:
+    """More capacity on any axis must never flip pass -> fail."""
+    p = grid.passed.astype(np.int8)
+    for k in range(p.ndim):
+        if np.any(np.diff(p, axis=k) < 0):
+            return False
+    return True
+
+
+def has_col(p: MilpProblem, name: str) -> bool:
+    """Whether `p` has a column named `name`."""
+    return any(v.name == name for v in p.variables)
+
+
+def gfl_batteries(s: SystemScenario) -> tuple[Battery, ...]:
+    """The scenario's grid-following batteries."""
+    return tuple(b for b in s.batteries if b.inverter == "gfl")

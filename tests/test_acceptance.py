@@ -29,12 +29,12 @@ from fcuc.dynamics import (
     response_metrics,
     simulate_response,
 )
-from fcuc.mps import export_mps, parse_mps
+from fcuc.mps import export_mps
 from fcuc.scenario import FrequencyLimits
 from fcuc.solver import solve_milp
 from fcuc.studies import gfm_sensitivity, npv_analysis, study_context
 from fcuc.ucmodel import build_fcuc
-from oracles import analytic_qss, make_mix
+from oracles import analytic_qss, make_mix, parse_mps
 
 
 def _random_mix(rng: random.Random):

@@ -24,7 +24,7 @@ from fcuc.boundary import (
 )
 from fcuc.dynamics import TechClass, response_metrics
 from fcuc.scenario import FrequencyLimits
-from oracles import make_conservative_by_points, make_mix, serial_bisection
+from oracles import make_conservative_by_points, make_mix, monotone_along_axes, serial_bisection
 
 LIMITS = FrequencyLimits(2.0, 49.3, 0.8)
 
@@ -68,7 +68,7 @@ def test_sweep_monotone_staircase_1d():
         (SweepAxis(TechClass.COMBINED_CYCLE, 0.0, 1200.0, 100.0),), _context(), LIMITS
     )
     grid = sweep_grid(spec)
-    assert grid.monotone_along_axes()
+    assert monotone_along_axes(grid)
     assert not grid.passed[0] and grid.passed[-1]
 
 
@@ -97,7 +97,7 @@ def test_sweep_monotone_2d_many_grids():
                 LIMITS,
             )
             grid = sweep_grid(spec)
-            assert grid.monotone_along_axes()
+            assert monotone_along_axes(grid)
             # nadir itself must be non-decreasing along both axes
             assert np.all(np.diff(grid.nadir_hz, axis=0) > -1e-9)
             assert np.all(np.diff(grid.nadir_hz, axis=1) > -1e-9)
@@ -202,10 +202,11 @@ def test_edge_points_bisect_in_lockstep_from_one_base(monkeypatch):
     batches = []
     batch = fcuc.boundary.response_metrics_rows
 
-    def recorded(context, rows):
+    def recorded(contexts, rows, owner):
         # every row evaluated, as the mix it stands for
-        batches.append([context.with_capacities(dict(zip(TechClass, map(float, r)))) for r in rows])
-        return batch(context, rows)
+        batches.append([contexts[k].with_capacities(dict(zip(TechClass, map(float, r))))
+                        for r, k in zip(rows, owner)])
+        return batch(contexts, rows, owner)
 
     monkeypatch.setattr(fcuc.boundary, "response_metrics_rows", recorded)
     edges = find_edge_points(axes, ctx, LIMITS, hi_mw=6000.0, tol_mw=1.0)

@@ -14,10 +14,10 @@ from conftest import desk_scenario
 from fcuc.boundary import NadirCut
 from fcuc.cli import EXIT_SOLVER_LIMIT, main
 from fcuc.dynamics import TechClass, check_compliance, response_metrics
-from fcuc.mps import parse_mps
 from fcuc.scenario import load_scenario, save_scenario
 from fcuc.solver import MilpResult
 from fcuc.ucmodel import COMMITTED_CLASSES, fleet_capacity_mw, fleet_mix
+from oracles import parse_mps
 
 
 @pytest.fixture(scope="module")

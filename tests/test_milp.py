@@ -29,7 +29,7 @@ from fcuc.ucmodel import (
     online_mix,
     units_of,
 )
-from oracles import lp_bound, without_rows
+from oracles import gfl_batteries, has_col, lp_bound, without_rows
 
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "example_scenario.json"
 
@@ -89,8 +89,8 @@ def test_expected_rows_and_columns(desk_s, desk_p):
     g = s.committed_units()[0]
     for t in (1, s.periods):
         for prefix in ("u", "y", "z", "p", "r"):
-            assert p.has_col(f"{prefix}_{g.id}_{t}")
-        assert p.has_col(f"rpf_{t}") and p.has_col(f"m_{t}")
+            assert has_col(p, f"{prefix}_{g.id}_{t}")
+        assert has_col(p, f"rpf_{t}") and has_col(p, f"m_{t}")
         for fam in ("balance", "reserve", "inertia", "rocof"):
             assert p.has_row(f"{fam}_{t}")
         for fam in ("logic", "cap", "pmin", "up", "down"):
@@ -373,7 +373,7 @@ def two_gfm():
         Battery("gfm_slow", "gfm_vsm", 300.0, 1200.0, 120.0, 600.0, cost_var=2.0,
                 inertia_h_s=4.0, droop=0.04, gfm_time_constant_s=0.2),
     )
-    s = dataclasses.replace(base, batteries=gfm + base.gfl_batteries())
+    s = dataclasses.replace(base, batteries=gfm + gfl_batteries(base))
     assert validate_scenario(s) == []
     return s
 

@@ -12,9 +12,10 @@ from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 import fcuc
 from conftest import desk_scenario, tiny_scenario
 from fcuc.milp import EQ, GE, LE, MilpProblem
-from fcuc.mps import export_mps, parse_mps
+from fcuc.mps import export_mps
 from fcuc.solver import solve_milp
 from fcuc.ucmodel import build_fcuc
+from oracles import parse_mps
 
 
 def _assert_same_problem(a: MilpProblem, b: MilpProblem):

@@ -23,6 +23,7 @@ from fcuc.scenario import (
     scenario_to_dict,
     validate_scenario,
 )
+from oracles import gfl_batteries
 
 
 @pytest.mark.parametrize(
@@ -108,7 +109,7 @@ def test_selectors_partition_units(desk_batt):
     s = desk_batt
     assert set(s.coal_units()) | set(s.gas_units()) == set(s.thermal_units)
     assert set(s.reservoir_units()) | set(s.ror_units()) == set(s.hydro_units)
-    assert set(s.gfm_batteries()) | set(s.gfl_batteries()) == set(s.batteries)
+    assert set(s.gfm_batteries()) | set(gfl_batteries(s)) == set(s.batteries)
     assert set(s.committed_units()) == set(s.thermal_units) | set(s.reservoir_units())
 
 
