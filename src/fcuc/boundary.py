@@ -2,11 +2,12 @@
 
 Grid sweeps of the dynamic model classify online-capacity combinations as
 pass/fail against the nadir requirement; bisection finds the minimum
-stand-alone capacity per technology (edge points), every axis in
-lockstep, by interpolating on the bisection's own tree of points; the
-hyperplane through the edge points becomes a linear cut, tightened until no
-failing lattice point satisfies it. A lattice, or one round of the edge
-search, is one batch of capacity rows over one context.
+stand-alone capacity per technology (edge points), every (context, axis)
+pair in lockstep, by interpolating on the bisection's own tree of points;
+the hyperplane through the edge points becomes a linear cut, tightened
+until no failing grid point satisfies it. Grids of several contexts, or one
+round of the edge search over several contexts, are one batch of capacity
+rows, each row on its own context.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ __all__ = [
     "NadirCut",
     "BracketingError",
     "sweep_grid",
+    "sweep_grids",
     "bisect_min_capacity",
     "find_edge_points",
+    "find_edge_points_many",
     "require_edges",
     "fit_hyperplane",
     "make_conservative",
@@ -82,7 +85,7 @@ class SweepSpec:
 @dataclass
 class ComplianceGrid:
     axes: tuple[SweepAxis, ...]
-    axis_values: tuple[np.ndarray, ...]
+    axis_values: tuple[np.ndarray, ...]  # the axis's lattice, or any points in its window
     passed: np.ndarray  # boolean, one dim per axis
     nadir_hz: np.ndarray
 
@@ -148,18 +151,34 @@ def sweep_grid(spec: SweepSpec) -> ComplianceGrid:
     """Evaluate nadir compliance at every lattice point of the spec, as one
     batch of capacity rows over the spec's context."""
     axis_values = tuple(a.values() for a in spec.axes)
-    shape = tuple(len(v) for v in axis_values)
-    rows = _context_rows(spec.context, int(np.prod(shape)))
-    for axis, grid in zip(spec.axes, np.meshgrid(*axis_values, indexing="ij")):
-        rows[:, _column(axis.tech)] = grid.ravel()
-    metrics = response_metrics_rows([spec.context], rows, [0] * len(rows))
-    nadir = np.array([met.nadir_hz for met in metrics]).reshape(shape)
-    return ComplianceGrid(
-        axes=spec.axes,
-        axis_values=axis_values,
-        passed=nadir >= spec.limits.nadir_min_hz,
-        nadir_hz=nadir,
+    return sweep_grids([(spec.context, spec.axes, axis_values)], spec.limits)[0]
+
+
+def sweep_grids(
+    grids: list[tuple[OnlineMix, tuple[SweepAxis, ...], tuple[np.ndarray, ...]]],
+    limits: FrequencyLimits,
+) -> list[ComplianceGrid]:
+    """Evaluate nadir compliance of each (context, axes, axis values) at
+    every point of the product of its axis values, all in one batch of
+    capacity rows, each row on its own grid's context."""
+    if not grids:
+        return []
+    rows = []
+    for context, axes, axis_values in grids:
+        points = np.meshgrid(*axis_values, indexing="ij")
+        rows.append(_context_rows(context, points[0].size))
+        for axis, grid in zip(axes, points):
+            rows[-1][:, _column(axis.tech)] = grid.ravel()
+    sizes = [len(r) for r in rows]
+    metrics = response_metrics_rows(
+        [c for c, _, _ in grids], np.concatenate(rows), np.repeat(np.arange(len(grids)), sizes)
     )
+    nadirs = np.array([met.nadir_hz for met in metrics])
+    out = []
+    for (_, axes, axis_values), part in zip(grids, np.split(nadirs, np.cumsum(sizes)[:-1])):
+        nadir = part.reshape([len(v) for v in axis_values])
+        out.append(ComplianceGrid(axes, axis_values, nadir >= limits.nadir_min_hz, nadir))
+    return out
 
 
 def find_edge_points(
@@ -170,44 +189,69 @@ def find_edge_points(
     tol_mw: float = BISECT_TOL_MW,
 ) -> dict[TechClass, float]:
     """One edge point per axis: the bisected minimum capacity of that
-    technology with every swept technology at zero, to within tol_mw.
-    Every axis is searched on [0, hi_mw] in lockstep, on the points that
-    bisection can visit: one batch of capacity rows for the zeroed base and
-    each axis at hi_mw, then one batch per round. A round keeps, per axis, a
-    failing and a passing point; it evaluates the points _PROBE_CELLS leaves
-    either side of a regula falsi estimate on 1 / (f0 - nadir), and an end
-    inside the bracket of the leaf at its midpoint, then narrows the bracket
-    to the results, until it is one leaf. That leaf's hi is the edge: under
+    technology with every swept technology at zero, to within tol_mw (the
+    one-context call of find_edge_points_many).
+    """
+    return find_edge_points_many(axes, [context], limits, hi_mw, tol_mw)[0]
+
+
+def find_edge_points_many(
+    axes: tuple[TechClass, ...] | list[TechClass],
+    contexts: list[OnlineMix],
+    limits: FrequencyLimits,
+    hi_mw: float,
+    tol_mw: float,
+) -> list[dict[TechClass, float]]:
+    """The edge points of each context, in order: per axis, the bisected
+    minimum capacity of that technology with every swept technology at zero,
+    to within tol_mw.
+
+    Every (context, axis) pair is searched on [0, hi_mw] in lockstep, on the
+    points that bisection can visit: one batch of capacity rows for each
+    context's zeroed base and each axis at hi_mw, then one batch per round,
+    each row on its own context. A round keeps, per pair, a failing and a
+    passing point; it evaluates the points _PROBE_CELLS leaves either side
+    of a regula falsi estimate on 1 / (f0 - nadir), and an end inside the
+    bracket of the leaf at its midpoint, then narrows the bracket to the
+    results, until it is one leaf. That leaf's hi is the edge: under
     pass-region monotonicity, bit for bit the serial bisection's. An axis
     that cannot comply alone within [0, hi_mw] is left out; one that already
     complies at zero gets edge 0.0.
     """
     if not tol_mw > 0:
         raise ValueError("tol_mw must be > 0")
-    if not axes:
-        return {}
-    base = context.with_capacities({t: 0.0 for t in axes})
-    f0, floor = base.nominal_freq_hz, limits.nadir_min_hz
+    if not axes or not contexts:
+        return [{} for _ in contexts]
+    bases = [c.with_capacities({t: 0.0 for t in axes}) for c in contexts]
+    base_rows = np.array([b.capacities_mw() for b in bases], dtype=float)
+    floor = limits.nadir_min_hz
 
-    def nadirs(techs: list[TechClass], mws: list[float]) -> list[float]:
-        """Nadir of the base with each tech in turn at its mw."""
-        rows = _context_rows(base, len(techs))
-        rows[np.arange(len(techs)), [_column(t) for t in techs]] = mws
-        return [met.nadir_hz for met in response_metrics_rows([base], rows, [0] * len(rows))]
+    def nadirs(points: list[tuple[int, TechClass, float]]) -> list[float]:
+        """Nadir of each (context, tech, mw): the context's base with tech at mw."""
+        owner = [k for k, _, _ in points]
+        rows = base_rows[owner]
+        rows[np.arange(len(points)), [_column(t) for _, t, _ in points]] = [
+            mw for _, _, mw in points]
+        return [met.nadir_hz for met in response_metrics_rows(bases, rows, owner)]
 
-    # the zeroed base is one row: the first axis at 0 MW
-    base_nadir, *hi_nadirs = nadirs([axes[0], *axes], [0.0] + [hi_mw] * len(axes))
-    hi_nadir = dict(zip(axes, hi_nadirs))
-    edges = {t: 0.0 for t in axes if hi_nadir[t] >= floor and base_nadir >= floor}
+    # each zeroed base is one row: the first axis at 0 MW
+    first = nadirs([p for k in range(len(bases))
+                    for p in [(k, axes[0], 0.0)] + [(k, t, hi_mw) for t in axes]])
+    base_nadir = first[::len(axes) + 1]
+    hi_nadir = {(k, t): first[k * (len(axes) + 1) + 1 + j]
+                for k in range(len(bases)) for j, t in enumerate(axes)}
+    edges = [{t: 0.0 for t in axes if hi_nadir[k, t] >= floor and base_nadir[k] >= floor}
+             for k in range(len(bases))]
     # The bisection's tree, sized only now that the kernel has refused a
-    # non-finite hi_mw. A point is named by its position, an integer in
-    # [0, top]. The root's ends are 0 and top, the node between positions l
-    # and r splits at (l + r) // 2, and at[p] is the very float the
-    # bisection computes at p: 0.5 * (lo + hi), replayed down from the root.
-    # A node is a leaf when the bisection's own `hi - lo > tol_mw` fails on
-    # it. The leftmost path halves exactly, and rounding moves any other
-    # width by less than an ulp of hi_mw, so no node two levels below the
-    # leftmost leaf is open.
+    # non-finite hi_mw; it depends on hi_mw and tol_mw alone, so every pair
+    # shares it. A point is named by its position, an integer in [0, top].
+    # The root's ends are 0 and top, the node between positions l and r
+    # splits at (l + r) // 2, and at[p] is the very float the bisection
+    # computes at p: 0.5 * (lo + hi), replayed down from the root. A node is
+    # a leaf when the bisection's own `hi - lo > tol_mw` fails on it. The
+    # leftmost path halves exactly, and rounding moves any other width by
+    # less than an ulp of hi_mw, so no node two levels below the leftmost
+    # leaf is open.
     top, width = 4, hi_mw
     while width > tol_mw:
         top, width = 2 * top, 0.5 * width
@@ -223,36 +267,39 @@ def find_edge_points(
             l, r = (m, r) if mw >= at[m] else (l, m)
         return l, r
 
-    # per open axis: a failing and a passing point, each with its nadir
-    brackets = {t: (0, base_nadir, top, hi_nadir[t])
-                for t in axes if hi_nadir[t] >= floor and base_nadir < floor}
+    # per open (context, axis): a failing and a passing point, each with its nadir
+    brackets = {(k, t): (0, base_nadir[k], top, hi_nadir[k, t])
+                for k in range(len(bases)) for t in axes
+                if hi_nadir[k, t] >= floor and base_nadir[k] < floor}
     while brackets:
         batch = []
-        for t, (a, nadir_a, b, nadir_b) in list(brackets.items()):
+        for (k, t), (a, nadir_a, b, nadir_b) in list(brackets.items()):
             lo, hi = at[a], at[b]
             if leaf(lo)[1] == b:
-                edges[t] = hi
-                del brackets[t]
+                edges[k][t] = hi
+                del brackets[k, t]
                 continue
             # regula falsi on 1 / (f0 - nadir), which is near linear in capacity
+            f0 = bases[k].nominal_freq_hz
             dev_a, dev_b, dev = f0 - nadir_a, f0 - nadir_b, f0 - floor
             est = lo + (hi - lo) * dev_b * (dev_a - dev) / (dev * (dev_a - dev_b))
             l, r = leaf(est)
             step = at[r] - at[l]
             mid_l, mid_r = leaf(0.5 * (lo + hi))
             probes = {mid_l if mid_l > a else mid_r}
-            probes |= {leaf(est + side * (k - 1) * step)[side > 0]
-                       for k in _PROBE_CELLS for side in (-1, 1)}
-            batch += [(t, p) for p in sorted(probes) if a < p < b]
+            probes |= {leaf(est + side * (n - 1) * step)[side > 0]
+                       for n in _PROBE_CELLS for side in (-1, 1)}
+            batch += [(k, t, p) for p in sorted(probes) if a < p < b]
         if not batch:
             break
-        # in rising capacity per axis, so the lowest pass ends the bracket
+        # in rising capacity per pair, so the lowest pass ends the bracket
         # and the highest fail below it starts it
-        for (t, p), nadir in zip(batch, nadirs([t for t, _ in batch], [at[p] for _, p in batch])):
-            a, nadir_a, b, nadir_b = brackets[t]
+        for (k, t, p), nadir in zip(batch, nadirs([(k, t, at[p]) for k, t, p in batch])):
+            a, nadir_a, b, nadir_b = brackets[k, t]
             if a < p < b:
-                brackets[t] = (a, nadir_a, p, nadir) if nadir >= floor else (p, nadir, b, nadir_b)
-    return {t: edges[t] for t in axes if t in edges}
+                brackets[k, t] = ((a, nadir_a, p, nadir) if nadir >= floor
+                                  else (p, nadir, b, nadir_b))
+    return [{t: e[t] for t in axes if t in e} for e in edges]
 
 
 def bisect_min_capacity(
@@ -296,8 +343,8 @@ def fit_hyperplane(edge_points: dict[TechClass, float], context_id: str = "") ->
 
 
 def make_conservative(cut: NadirCut, grid: ComplianceGrid) -> NadirCut:
-    """Tighten the intercept until no failing lattice point satisfies the cut."""
-    # the cut's lhs at every lattice point, summed over the axes left to right
+    """Tighten the intercept until no failing grid point satisfies the cut."""
+    # the cut's lhs at every grid point, summed over the axes left to right
     lhs = np.zeros(grid.passed.shape)
     for axis, values in zip(grid.axes, np.meshgrid(*grid.axis_values, indexing="ij")):
         lhs = lhs + cut.coeff(axis.tech) * values

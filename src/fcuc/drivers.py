@@ -2,29 +2,34 @@
 
 One loop serves both: solve the commitment MILP, simulate every hour, and
 refine the build options until every hour complies. run_proposed refines by
-adding simulation-verified nadir cuts learned per failing hour; run_industry
-escalates a uniform reserve requirement. Both return a RunReport of the last
-MILP solved, auditable against an independent re-simulation.
+adding simulation-verified nadir cuts learned per failing hour, every hour of
+a refine step in one edge search and one batch of repair points, each cut
+repaired against the commitments the MILP can make; run_industry escalates a
+uniform reserve requirement. Both return a RunReport of the last MILP
+solved, auditable against an independent re-simulation.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .boundary import (
     BISECT_TOL_MW,
     EDGE_HI_MW,
     NadirCut,
     SweepAxis,
-    SweepSpec,
     bisect_min_capacity,  # noqa: F401  bench/spans.py wraps it here by name
-    find_edge_points,
+    find_edge_points_many,
     fit_hyperplane,
     make_conservative,
-    sweep_grid,
+    sweep_grid,  # noqa: F401  bench/spans.py wraps it here by name
+    sweep_grids,
 )
 from .dynamics import FrequencyMetrics, TechClass, check_compliance, response_metrics_rows
 from .dynamics import response_metrics  # noqa: F401  bench/spans.py wraps it here by name
@@ -58,6 +63,9 @@ __all__ = [
 DEFAULT_ESCALATION = 1.05
 DEFAULT_MAX_ITER = 10
 MILP_GAP_TOL = 1e-4
+#: steps of the repair lattice per axis, 0 to the window top: 7 points per
+#: axis, so a cut of k axes is repaired on at most 7**k points
+_LATTICE_STEPS = 6
 
 
 @dataclass
@@ -107,21 +115,53 @@ def _simulate_all_hours(s: SystemScenario, sol: UcSolution):
     return metrics, failing_nadir, all_ok
 
 
-def _learn_cut(s: SystemScenario, hour: int, axes: list[TechClass]) -> NadirCut | None:
-    """Edge points -> hyperplane -> conservative repair, for one hour context."""
-    context = fleet_mix(s, hour)
+def _subset_sums(units, cap: int) -> list[float] | None:
+    """The distinct capacities a class can commit, the subset sums of its
+    units' pmax, built in unit order; None once there are more than cap."""
+    sums = [0.0]
+    for u in units:
+        sums = list(dict.fromkeys(sums + [x + u.pmax_mw for x in sums]))
+        if len(sums) > cap:
+            return None
+    return sorted(sums)
+
+
+def _learn_cuts(
+    s: SystemScenario, hours: list[int], axes: list[TechClass]
+) -> dict[int, NadirCut | None]:
+    """Edge points -> hyperplane -> conservative repair, for each hour's
+    context: every hour in one edge search and one batch of repair points.
+    A cut is repaired against every commitment the MILP can make on its
+    axes, the product of each class's subset sums; an hour with more of them
+    than the lattice has points keeps the lattice, _LATTICE_STEPS steps per
+    axis on [0, max(fleet, edge)].
+    """
+    contexts = [fleet_mix(s, hour) for hour in hours]
     hi = max(EDGE_HI_MW, 10.0 * max((fleet_capacity_mw(s, c) for c in axes), default=0.0))
-    edges = find_edge_points(axes, context, s.limits, hi, BISECT_TOL_MW)
-    if not edges or min(edges.values()) <= 0:
-        return None  # no axis complies alone, or the context complies with all at zero
-    cut = fit_hyperplane(edges, context_id=f"hour={hour}")
-    # tighten against a coarse grid over the capacities the MILP can commit
-    grid_axes = []
-    for cls in edges:
-        top = max(fleet_capacity_mw(s, cls), edges[cls])
-        grid_axes.append(SweepAxis(cls, 0.0, top, max(top / 6.0, BISECT_TOL_MW)))
-    grid = sweep_grid(SweepSpec(tuple(grid_axes), context, s.limits))
-    return make_conservative(cut, grid)
+    cap = (_LATTICE_STEPS + 1) ** len(axes)
+    reachable = {cls: _subset_sums(units_of(s, cls), cap) for cls in axes}
+    cuts: dict[int, NadirCut | None] = {}
+    grids = []
+    for hour, context, edges in zip(
+        hours, contexts, find_edge_points_many(axes, contexts, s.limits, hi, BISECT_TOL_MW)
+    ):
+        if not edges or min(edges.values()) <= 0:
+            cuts[hour] = None  # no axis complies alone, or the context complies with all at zero
+            continue
+        cuts[hour] = fit_hyperplane(edges, context_id=f"hour={hour}")
+        grid_axes = []
+        for cls in edges:
+            top = max(fleet_capacity_mw(s, cls), edges[cls])
+            grid_axes.append(SweepAxis(cls, 0.0, top, max(top / _LATTICE_STEPS, BISECT_TOL_MW)))
+        sums = [reachable[cls] for cls in edges]
+        if None in sums or math.prod(map(len, sums)) > (_LATTICE_STEPS + 1) ** len(edges):
+            values = tuple(a.values() for a in grid_axes)
+        else:
+            values = tuple(map(np.array, sums))
+        grids.append((hour, context, tuple(grid_axes), values))
+    for (hour, *_), grid in zip(grids, sweep_grids([g[1:] for g in grids], s.limits)):
+        cuts[hour] = make_conservative(cuts[hour], grid)
+    return cuts
 
 
 def _iterate(
@@ -184,15 +224,20 @@ def run_proposed(s: SystemScenario, max_iter: int = DEFAULT_MAX_ITER) -> RunRepo
     axes = [cls for cls in COMMITTED_CLASSES if units_of(s, cls)]
     cut_cache: dict[int, NadirCut | None] = {}  # demand-level key -> cut
 
+    def key(hour: int) -> int:
+        return int(round(s.demand[hour - 1] / 50.0))
+
     def add_cuts(opts: BuildOptions, failing: list[int]) -> BuildOptions | None:
+        # the first failing hour of each demand level not yet learned learns its cut
+        learners = {key(hour): hour for hour in reversed(failing) if key(hour) not in cut_cache}
+        learned = _learn_cuts(s, list(learners.values()), axes)
+        cut_cache.update((k, learned[hour]) for k, hour in learners.items())
         cuts = list(opts.nadir_cuts)
         for hour in failing:
-            key = int(round(s.demand[hour - 1] / 50.0))
-            if key not in cut_cache:
-                cut_cache[key] = _learn_cut(s, hour, axes)
-            if cut_cache[key] is None:
+            cut = cut_cache[key(hour)]
+            if cut is None:
                 continue
-            cut = replace(cut_cache[key], context_id=f"hour={hour}")
+            cut = replace(cut, context_id=f"hour={hour}")
             if all(not (h == hour and c.key() == cut.key()) for h, c in cuts):
                 cuts.append((hour, cut))
         if len(cuts) == len(opts.nadir_cuts):

@@ -288,21 +288,19 @@ def _block(contexts: Sequence[OnlineMix]) -> _Block:
     )
 
 
-def _assemble(block: _Block, caps: np.ndarray, owner: np.ndarray) -> _Systems:
-    """The models of capacity rows caps, (n, 6) MW in TechClass order, row i
-    on the block's context owner[i]. Raises the first row's error, in row
-    order: a negative or non-finite capacity (ValueError), or a disturbance
-    on zero inertia (ZeroInertiaError).
+def _inertia(block: _Block, caps: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The inertia m (MWs) of capacity rows caps, (n, 6) MW in TechClass
+    order, row i on the block's context owner[i]. Raises the first row's
+    error, in row order: a negative or non-finite capacity (ValueError), or
+    a disturbance on zero inertia (ZeroInertiaError).
     """
-    n = len(caps)
     bad = ~(caps >= 0) | ~np.isfinite(caps)  # negative, NaN or infinite
     # m = sum of 2H S over the classes, added in TechClass order (a bad
     # capacity counts as 0 here: it is reported below, and inf * 0 is NaN)
-    m = np.zeros(n)
+    m = np.zeros(len(caps))
     for inertia in (block.two_h[owner] * np.where(bad, 0.0, caps)).T:
         m = m + inertia
-    contingency = block.contingency_mw[owner]
-    zero_inertia = (contingency > 0) & (m <= 0)
+    zero_inertia = (block.contingency_mw[owner] > 0) & (m <= 0)
     if bad.any() or zero_inertia.any():
         i = int(np.argmax(bad.any(axis=1) | zero_inertia))
         if bad[i].any():
@@ -312,12 +310,20 @@ def _assemble(block: _Block, caps: np.ndarray, owner: np.ndarray) -> _Systems:
             "cannot disturb a zero-inertia system "
             f"(contingency {block.contexts[owner[i]].contingency_mw} MW, inertia 0)"
         )
+    return m
+
+
+def _assemble(block: _Block, caps: np.ndarray, owner: np.ndarray, m: np.ndarray) -> _Systems:
+    """The models of capacity rows caps, (n, 6) MW in TechClass order, row i
+    on the block's context owner[i], with their inertia m from _inertia.
+    """
+    contingency = block.contingency_mw[owner]
     a = block.a[owner]
     mech = block.mech[owner] * caps[:, :len(GOVERNOR_CLASSES), None]
     # swing equation: m delta' = sum(mech MW) - dPe - K^D delta
     swing = mech[:, 0] + mech[:, 1] + mech[:, 2] + mech[:, 3]
     swing[:, 0] += -block.damping[owner]
-    # m == 0 only with zero contingency (checked above): the response is
+    # m == 0 only with zero contingency (checked by _inertia): the response is
     # identically zero and A's first row stays zero
     disturbed = m > 0
     m_safe = np.where(disturbed, m, 1.0)
@@ -330,7 +336,8 @@ def _assemble(block: _Block, caps: np.ndarray, owner: np.ndarray) -> _Systems:
 
 def assemble_state_space(mix: OnlineMix) -> LinearSystem:
     """The aggregate swing + governor model of one online mix (see _block)."""
-    sys = _assemble(_block([mix]), np.array([mix.capacities_mw()]), np.zeros(1, dtype=int))
+    block, caps, owner = _block([mix]), np.array([mix.capacities_mw()]), np.zeros(1, dtype=int)
+    sys = _assemble(block, caps, owner, _inertia(block, caps, owner))
     c = np.zeros(sys.a.shape[-1])
     c[0] = 1.0
     return LinearSystem(
@@ -529,12 +536,12 @@ def _qss_pu(a: np.ndarray, b: np.ndarray, horizon_pu: np.ndarray) -> np.ndarray:
 
 
 def _chunk_metrics(
-    block: _Block, caps: np.ndarray, owner: np.ndarray, horizon: float, step: float
+    block: _Block, caps: np.ndarray, owner: np.ndarray, m: np.ndarray, horizon: float, step: float
 ) -> list[FrequencyMetrics]:
     """Metrics of a chunk of capacity rows (see _assemble) whose contexts
     share the sample grid (horizon, step)."""
     n = len(caps)
-    systems = _assemble(block, caps, owner)
+    systems = _assemble(block, caps, owner, m)
     # zero-order hold: exp(step M) advances [x; 1] one sample exactly, for
     # any A; an unstable system overflows, and _sample_search raises
     with np.errstate(over="ignore", invalid="ignore"):
@@ -542,7 +549,7 @@ def _chunk_metrics(
             _expm1(step * systems.aug), int(round(horizon / step))
         )
     f0, m = systems.nominal_freq_hz, systems.inertia_mws
-    # zero inertia is only valid with no disturbance (_assemble), so then delta == 0
+    # zero inertia is only valid with no disturbance (_inertia), so then delta == 0
     rocof = np.divide(systems.contingency_mw * f0, m, out=np.zeros(n), where=m > 0)
     # The quasi-steady-state is the asymptote of the linear system, available
     # exactly as its DC gain; the slow hydro governor (reset stretched by
@@ -572,7 +579,9 @@ def response_metrics_rows(
     CHUNK_MIXES at a time. RoCoF is dPe f0 / m and the QSS deviation the
     exact asymptote (DC gain). The capacity-free part of the model is built
     once per context, and each row's metrics are the same whatever batch it
-    is evaluated in.
+    is evaluated in. Every row is checked before any is evaluated, so a bad
+    row raises the first row's error in row order (see _inertia), whatever
+    the grouping.
     """
     caps = np.asarray(capacities, dtype=float).reshape(-1, len(TechClass))
     owner = np.asarray(owner, dtype=int)
@@ -580,6 +589,7 @@ def response_metrics_rows(
     if owner.shape != (len(caps),) or not set(owners) <= set(range(len(contexts))):
         raise ValueError("owner must name one of the contexts for every capacity row")
     block = _block(contexts)
+    m = _inertia(block, caps, owner)
     keys = [(ctx.dynamics.horizon_s, ctx.dynamics.step_s) for ctx in contexts]
     grids: dict[tuple[float, float], list[int]] = {}
     for i, k in enumerate(owners):
@@ -588,7 +598,7 @@ def response_metrics_rows(
     for (horizon, step), members in grids.items():
         for c in range(0, len(members), CHUNK_MIXES):
             chunk = members[c:c + CHUNK_MIXES]
-            metrics = _chunk_metrics(block, caps[chunk], owner[chunk], horizon, step)
+            metrics = _chunk_metrics(block, caps[chunk], owner[chunk], m[chunk], horizon, step)
             for i, met in zip(chunk, metrics):
                 out[i] = met
     return out

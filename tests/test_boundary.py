@@ -17,6 +17,7 @@ from fcuc.boundary import (
     SweepSpec,
     bisect_min_capacity,
     find_edge_points,
+    find_edge_points_many,
     fit_hyperplane,
     make_conservative,
     require_edges,
@@ -227,19 +228,25 @@ GOVERNED = (TechClass.STEAM, TechClass.COMBINED_CYCLE, TechClass.HYDRO_RESERVOIR
 
 
 @st.composite
-def edge_searches(draw):
-    """A context of every class at 0 or 50-900 MW (condensers always
-    online), one to three governed axes, a window top of ten times a drawn
-    fleet capacity (rarely dyadic, so its halvings round) and a tolerance."""
+def edge_contexts(draw):
+    """A context of every class at 0 or 50-900 MW (condensers always online)."""
     caps = {c: draw(st.one_of(st.just(0.0), st.floats(50.0, 900.0))) for c in TechClass}
     caps[TechClass.CONDENSER] = draw(st.floats(50.0, 900.0))
-    context = make_mix(
+    return make_mix(
         capacities_mw=caps,
         load_damping_mw_per_pu=draw(st.floats(200.0, 1500.0)),
         contingency_mw=draw(st.floats(50.0, 400.0)),
     )
+
+
+@st.composite
+def edge_searches(draw):
+    """A context, one to three governed axes, a window top of ten times a
+    drawn fleet capacity (rarely dyadic, so its halvings round) and a
+    tolerance."""
     axes = draw(st.lists(st.sampled_from(GOVERNED), min_size=1, max_size=3, unique=True))
-    return context, axes, 10.0 * draw(st.floats(100.0, 5000.0)), draw(st.floats(0.05, 50.0))
+    return (draw(edge_contexts()), axes, 10.0 * draw(st.floats(100.0, 5000.0)),
+            draw(st.floats(0.05, 50.0)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,6 +261,23 @@ def test_edge_points_match_serial_bisection(search):
     edges = find_edge_points(axes, context, LIMITS, hi_mw, tol_mw)
     assert edges == {t: e for t, e in serial.items() if e is not None}
     assert list(edges) == [t for t in axes if serial[t] is not None]
+
+
+@settings(max_examples=25, deadline=None)
+@given(search=edge_searches(), others=st.lists(edge_contexts(), min_size=1, max_size=3))
+def test_many_context_edge_points_match_serial_bisection(search, others):
+    # two to four contexts in one lockstep search, sharing axes, window and tolerance
+    context, axes, hi_mw, tol_mw = search
+    contexts = [context, *others]
+    many = find_edge_points_many(axes, contexts, LIMITS, hi_mw, tol_mw)
+    assert len(many) == len(contexts)
+    for ctx, edges in zip(contexts, many):
+        base = ctx.with_capacities({t: 0.0 for t in axes})
+        serial = {t: serial_bisection(t, base, 0.0, hi_mw, tol_mw, LIMITS.nadir_min_hz)
+                  for t in axes}
+        assert edges == {t: e for t, e in serial.items() if e is not None}
+        assert list(edges) == [t for t in axes if serial[t] is not None]
+        assert edges == find_edge_points(axes, ctx, LIMITS, hi_mw, tol_mw)
 
 
 def test_edge_points_leave_out_an_axis_that_cannot_comply_alone():

@@ -1,11 +1,15 @@
 """End-to-end drivers: iterative-cut model, uniform-reserve model, reports."""
 
 import dataclasses
+import itertools
+import math
 
+import numpy as np
 import pytest
 
+import fcuc.boundary
 import fcuc.drivers
-from conftest import desk_scenario, hydro_heavy_scenario
+from conftest import battery_scenario, desk_scenario, hydro_heavy_scenario
 from fcuc.drivers import (
     audit_report,
     compare_runs,
@@ -17,9 +21,10 @@ from fcuc.drivers import (
     save_report,
     write_dispatch_table,
 )
-from fcuc.dynamics import TechClass
+from fcuc.dynamics import TechClass, response_metrics_rows
 from fcuc.scenario import FrequencyLimits
 from fcuc.solver import MilpResult
+from fcuc.ucmodel import COMMITTED_CLASSES, fleet_capacity_mw, fleet_mix, units_of
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +95,87 @@ def test_hydro_only_system_learns_one_dimensional_cuts():
     for _, cut in rep.cuts:
         assert set(cut.coeffs) == {TechClass.HYDRO_RESERVOIR}
     assert audit_report(s, rep) == []
+
+
+def _reachable(s, cls):
+    """Every capacity the MILP can commit of a class: the sum of each subset
+    of its units."""
+    units = units_of(s, cls)
+    return sorted({sum(u.pmax_mw for u in subset)
+                   for n in range(len(units) + 1) for subset in itertools.combinations(units, n)})
+
+
+@pytest.fixture(scope="module")
+def batt():
+    s = battery_scenario()
+    return s, run_proposed(s, max_iter=12)
+
+
+def test_no_cut_admits_a_failing_reachable_commitment(desk, proposed, batt):
+    """Every cut of a run, at its own hour (where it was learned or where
+    the demand-level cache reused it), excludes every commitment the MILP
+    can make that fails the nadir floor there."""
+    for s, rep in ((desk, proposed), batt):
+        axes = [c for c in COMMITTED_CLASSES if units_of(s, c)]
+        points = list(itertools.product(*(_reachable(s, c) for c in axes)))
+        contexts = [fleet_mix(s, hour) for hour, _ in rep.cuts]
+        rows = [ctx.with_capacities(dict(zip(axes, p))).capacities_mw()
+                for ctx in contexts for p in points]
+        owner = [k for k in range(len(contexts)) for _ in points]
+        failing = 0
+        for (k, p), met in zip(itertools.product(range(len(contexts)), points),
+                               response_metrics_rows(contexts, rows, owner)):
+            if met.nadir_hz < s.limits.nadir_min_hz:
+                failing += 1
+                hour, cut = rep.cuts[k]
+                assert not cut.satisfied(dict(zip(axes, p))), f"{s.name} hour {hour}: {p}"
+        assert len(rep.cuts) == 24 and failing > 0
+
+
+def test_cuts_are_repaired_on_the_reachable_commitments_or_the_lattice(desk, monkeypatch):
+    """Desk's cuts are repaired on the 4 x 4 x 4 commitments its units can
+    make. With five coal units of distinct ratings there are more than the
+    7 x 7 x 7 lattice points, so the hour evaluates exactly that lattice on
+    [0, max(fleet, edge)], and its cut excludes every failing lattice point.
+    Learning hours in one batch gives each hour's own cut."""
+    rows, grids = [], []
+    batch, repair = fcuc.boundary.response_metrics_rows, fcuc.drivers.make_conservative
+
+    def recorded(contexts, capacities, owner):
+        rows.append(len(capacities))
+        return batch(contexts, capacities, owner)
+
+    def recorded_repair(cut, grid):
+        grids.append(grid)
+        return repair(cut, grid)
+
+    monkeypatch.setattr(fcuc.boundary, "response_metrics_rows", recorded)
+    monkeypatch.setattr(fcuc.drivers, "make_conservative", recorded_repair)
+    axes = list(COMMITTED_CLASSES)
+    cuts = fcuc.drivers._learn_cuts(desk, [3, 12, 18], axes)
+    assert [len(g.passed.flat) for g in grids] == [64] * 3 and rows[-1] == 3 * 64
+    for grid in grids:
+        assert [list(v) for v in grid.axis_values] == [_reachable(desk, c) for c in axes]
+    assert cuts == {h: fcuc.drivers._learn_cuts(desk, [h], axes)[h] for h in (3, 12, 18)}
+
+    coal = desk.thermal_units[0]
+    units = tuple(dataclasses.replace(coal, id=f"coal_{i}", pmax_mw=mw, pmin_mw=20.0)
+                  for i, mw in enumerate((101.0, 117.0, 133.0, 149.0, 171.0)))
+    s = dataclasses.replace(desk, thermal_units=units + desk.thermal_units[2:])
+    assert math.prod(len(_reachable(s, c)) for c in axes) > 7 ** 3
+    rows.clear()
+    grids.clear()
+    cut = fcuc.drivers._learn_cuts(s, [12], axes)[12]
+    [grid] = grids
+    assert rows[-1] == grid.passed.size == 7 ** 3
+    for axis, values in zip(grid.axes, grid.axis_values):
+        assert values[0] == 0.0 and len(values) == 7
+        assert values[-1] >= fleet_capacity_mw(s, axis.tech)
+        assert np.allclose(np.diff(values), values[-1] / 6)
+    techs = [a.tech for a in grid.axes]
+    failing = [caps for caps, ok, _ in grid.points() if not ok]
+    assert techs == axes and failing
+    assert not any(cut.satisfied(dict(zip(techs, caps))) for caps in failing)
 
 
 def test_non_convergence_at_iteration_cap(desk):

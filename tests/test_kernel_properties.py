@@ -155,6 +155,21 @@ def test_a_bad_capacity_row_raises_what_validation_raises(context, rows):
         assert str(raised.value) == str(expected)
 
 
+def test_a_bad_row_is_reported_in_row_order_across_sample_grids():
+    # row 1 (on the second grid) has a negative capacity and row 2 (on the
+    # first) no inertia: row 1's error comes first, whichever grid runs first
+    a = make_mix(capacities_mw={TechClass.CONDENSER: 500.0, TechClass.STEAM: 300.0},
+                 load_damping_mw_per_pu=800.0, contingency_mw=100.0)
+    b = replace(a, dynamics=replace(a.dynamics, horizon_s=12.0))
+    good = a.capacities_mw()
+    negative = list(good)
+    negative[list(TechClass).index(TechClass.STEAM)] = -1.0
+    with pytest.raises(ValueError) as raised:
+        response_metrics_rows([a, b], [good, negative, [0.0] * 6], [0, 1, 0])
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "steam: online capacity must be finite and >= 0"
+
+
 @settings(max_examples=20, deadline=None)
 @given(mix=mixes())
 def test_kernel_nadir_matches_rk4(mix):
