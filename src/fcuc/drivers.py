@@ -63,9 +63,11 @@ __all__ = [
 DEFAULT_ESCALATION = 1.05
 DEFAULT_MAX_ITER = 10
 MILP_GAP_TOL = 1e-4
-#: steps of the repair lattice per axis, 0 to the window top: 7 points per
-#: axis, so a cut of k axes is repaired on at most 7**k points
-_LATTICE_STEPS = 6
+#: points per axis of the repair lattice, 0 to the class's fleet
+_LATTICE_POINTS = 7
+#: the most commitments a cut is repaired on: a day whose classes can make
+#: more repairs every cut on the lattice instead
+_REPAIR_POINTS = _LATTICE_POINTS**3
 
 
 @dataclass
@@ -131,15 +133,21 @@ def _learn_cuts(
 ) -> dict[int, NadirCut | None]:
     """Edge points -> hyperplane -> conservative repair, for each hour's
     context: every hour in one edge search and one batch of repair points.
-    A cut is repaired against every commitment the MILP can make on its
-    axes, the product of each class's subset sums; an hour with more of them
-    than the lattice has points keeps the lattice, _LATTICE_STEPS steps per
-    axis on [0, max(fleet, edge)].
+    A cut is repaired on its axes' values, chosen once for the day: the
+    commitments the MILP can make, each class's subset sums, when their
+    product over the axes has at most _REPAIR_POINTS points; else the
+    lattice, _LATTICE_POINTS evenly spaced on [0, fleet] per axis.
     """
     contexts = [fleet_mix(s, hour) for hour in hours]
-    hi = max(EDGE_HI_MW, 10.0 * max((fleet_capacity_mw(s, c) for c in axes), default=0.0))
-    cap = (_LATTICE_STEPS + 1) ** len(axes)
-    reachable = {cls: _subset_sums(units_of(s, cls), cap) for cls in axes}
+    fleet = {cls: fleet_capacity_mw(s, cls) for cls in axes}
+    hi = max(EDGE_HI_MW, 10.0 * max(fleet.values(), default=0.0))
+    sums = {cls: _subset_sums(units_of(s, cls), _REPAIR_POINTS) for cls in axes}
+    if None in sums.values() or math.prod(map(len, sums.values())) > _REPAIR_POINTS:
+        values = {cls: np.linspace(0.0, mw, _LATTICE_POINTS) for cls, mw in fleet.items()}
+    else:
+        values = {cls: np.array(v) for cls, v in sums.items()}
+    windows = {cls: SweepAxis(cls, 0.0, mw, mw / (_LATTICE_POINTS - 1))
+               for cls, mw in fleet.items()}
     cuts: dict[int, NadirCut | None] = {}
     grids = []
     for hour, context, edges in zip(
@@ -149,16 +157,8 @@ def _learn_cuts(
             cuts[hour] = None  # no axis complies alone, or the context complies with all at zero
             continue
         cuts[hour] = fit_hyperplane(edges, context_id=f"hour={hour}")
-        grid_axes = []
-        for cls in edges:
-            top = max(fleet_capacity_mw(s, cls), edges[cls])
-            grid_axes.append(SweepAxis(cls, 0.0, top, max(top / _LATTICE_STEPS, BISECT_TOL_MW)))
-        sums = [reachable[cls] for cls in edges]
-        if None in sums or math.prod(map(len, sums)) > (_LATTICE_STEPS + 1) ** len(edges):
-            values = tuple(a.values() for a in grid_axes)
-        else:
-            values = tuple(map(np.array, sums))
-        grids.append((hour, context, tuple(grid_axes), values))
+        grids.append((hour, context, tuple(windows[c] for c in edges),
+                      tuple(values[c] for c in edges)))
     for (hour, *_), grid in zip(grids, sweep_grids([g[1:] for g in grids], s.limits)):
         cuts[hour] = make_conservative(cuts[hour], grid)
     return cuts
@@ -228,21 +228,19 @@ def run_proposed(s: SystemScenario, max_iter: int = DEFAULT_MAX_ITER) -> RunRepo
         return int(round(s.demand[hour - 1] / 50.0))
 
     def add_cuts(opts: BuildOptions, failing: list[int]) -> BuildOptions | None:
-        # the first failing hour of each demand level not yet learned learns its cut
-        learners = {key(hour): hour for hour in reversed(failing) if key(hour) not in cut_cache}
+        # an hour holds at most one cut, its demand level's: only hours
+        # without one take part, and the first of each level not yet
+        # learned learns its cut
+        held = {hour for hour, _ in opts.nadir_cuts}
+        hours = [hour for hour in failing if hour not in held]
+        learners = {key(hour): hour for hour in reversed(hours) if key(hour) not in cut_cache}
         learned = _learn_cuts(s, list(learners.values()), axes)
         cut_cache.update((k, learned[hour]) for k, hour in learners.items())
-        cuts = list(opts.nadir_cuts)
-        for hour in failing:
-            cut = cut_cache[key(hour)]
-            if cut is None:
-                continue
-            cut = replace(cut, context_id=f"hour={hour}")
-            if all(not (h == hour and c.key() == cut.key()) for h, c in cuts):
-                cuts.append((hour, cut))
-        if len(cuts) == len(opts.nadir_cuts):
-            return None  # no nadir hour fails, or no new cut was learned
-        return replace(opts, nadir_cuts=tuple(cuts))
+        cuts = tuple((hour, replace(cut_cache[key(hour)], context_id=f"hour={hour}"))
+                     for hour in hours if cut_cache[key(hour)] is not None)
+        if not cuts:
+            return None  # every failing nadir hour holds a cut, or none was learned
+        return replace(opts, nadir_cuts=opts.nadir_cuts + cuts)
 
     return _iterate(s, "proposed", BuildOptions(), add_cuts, max_iter)
 

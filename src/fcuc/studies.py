@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .boundary import BISECT_TOL_MW, find_edge_points, require_edges
+from .boundary import BISECT_TOL_MW, find_edge_points_many, require_edges
 from .boundary import bisect_min_capacity  # noqa: F401  bench/spans.py wraps it here by name
 from .dynamics import (
     DEFAULT_DROOP,
@@ -112,20 +112,21 @@ def equivalence_study(
     fixed context.
     """
     ctx = context if context is not None else study_context(s)
-    axes = (tech_a, tech_b)
-    edges = require_edges(
-        find_edge_points(axes, ctx, s.limits, STUDY_HI_MW, tol_mw), axes, STUDY_HI_MW
-    )
-    edge_a, edge_b = edges[tech_a], edges[tech_b]
-    if edge_a <= 0:
-        raise ValueError(f"{tech_a.value}: degenerate zero edge point")
-    return EquivalenceResult(
-        tech_a=tech_a,
-        tech_b=tech_b,
-        edge_a_mw=edge_a,
-        edge_b_mw=edge_b,
-        ratio_b_per_a=edge_b / edge_a,
-    )
+    return _equivalences(s, (tech_a, tech_b), [ctx], tol_mw)[0]
+
+
+def _equivalences(
+    s: SystemScenario, axes: tuple[TechClass, TechClass], contexts: list[OnlineMix], tol_mw: float
+) -> list[EquivalenceResult]:
+    """equivalence_study in each context, from one edge search over all of
+    them; the first context without both edges raises."""
+    out = []
+    for edges in find_edge_points_many(axes, contexts, s.limits, STUDY_HI_MW, tol_mw):
+        edge_a, edge_b = map(require_edges(edges, axes, STUDY_HI_MW).get, axes)
+        if edge_a <= 0:
+            raise ValueError(f"{axes[0].value}: degenerate zero edge point")
+        out.append(EquivalenceResult(*axes, edge_a, edge_b, ratio_b_per_a=edge_b / edge_a))
+    return out
 
 
 def gfm_sensitivity(
@@ -134,13 +135,12 @@ def gfm_sensitivity(
     context: OnlineMix | None = None,
     tol_mw: float = BISECT_TOL_MW,
 ) -> list[tuple[float, EquivalenceResult]]:
-    """GFM-vs-SC equivalence re-evaluated for each inverter response lag."""
+    """GFM-vs-SC equivalence re-evaluated for each inverter response lag,
+    every lag in one edge search."""
     if not all(tc > 0 for tc in time_constants_s):
         raise ValueError("time constants must be positive")
-    out = []
     base = context if context is not None else study_context(s)
-    for tc in time_constants_s:
-        ctx = replace(base, dynamics=replace(base.dynamics, gfm_lag_s=tc))
-        res = equivalence_study(s, TechClass.GFM, TechClass.CONDENSER, context=ctx, tol_mw=tol_mw)
-        out.append((tc, res))
-    return out
+    contexts = [replace(base, dynamics=replace(base.dynamics, gfm_lag_s=tc))
+                for tc in time_constants_s]
+    axes = (TechClass.GFM, TechClass.CONDENSER)
+    return list(zip(time_constants_s, _equivalences(s, axes, contexts, tol_mw)))

@@ -299,6 +299,25 @@ def milp_oracle():
     return exact, time.perf_counter() - t0
 
 
+@pytest.fixture(scope="session")
+def paired_runs():
+    """Both operating models on the 10-day paired corpus of acceptance
+    criteria 7 and 8, with the seconds they took; run once per session and
+    shared by every suite that reads these runs."""
+    from fcuc.drivers import run_industry, run_proposed
+
+    scenarios = [random_scenario(seed) for seed in range(8)]
+    scenarios.append(battery_scenario())
+    scenarios.append(hydro_heavy_scenario())
+    t0 = time.perf_counter()
+    runs = []
+    for s in scenarios:
+        prop = run_proposed(s, max_iter=12)
+        ind = run_industry(s, escalation_factor=1.1, max_iter=40)
+        runs.append((s, prop, ind))
+    return runs, time.perf_counter() - t0
+
+
 @pytest.fixture
 def desk():
     return desk_scenario()

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, tolerances stated in each test.
 
 These are the binding checks for the toolkit; the per-module suites cover the
-same ground in more detail. Shared expensive artifacts (driver runs) are
-computed once at module scope.
+same ground in more detail. Shared expensive artifacts (the paired driver
+runs of criteria 7 and 8) are computed once per session in conftest.py.
 """
 
 import random
@@ -13,15 +13,9 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 
-from conftest import (
-    battery_scenario,
-    desk_scenario,
-    hydro_heavy_scenario,
-    random_scenario,
-    tiny_scenario,
-)
+from conftest import desk_scenario, tiny_scenario
 from fcuc.boundary import SweepAxis, SweepSpec, find_edge_points, fit_hyperplane, make_conservative, sweep_grid
-from fcuc.drivers import audit_report, run_industry, run_proposed
+from fcuc.drivers import audit_report
 from fcuc.dynamics import (
     TechClass,
     assemble_state_space,
@@ -43,23 +37,6 @@ def _random_mix(rng: random.Random):
         load_damping_mw_per_pu=rng.uniform(200.0, 1500.0),
         contingency_mw=rng.uniform(50.0, 300.0),
     )
-
-
-# ---------------------------------------------------------------------------
-# shared driver runs (criteria 7 and 8)
-
-@pytest.fixture(scope="module")
-def paired_runs():
-    scenarios = [random_scenario(seed) for seed in range(8)]
-    scenarios.append(battery_scenario())
-    scenarios.append(hydro_heavy_scenario())
-    t0 = time.perf_counter()
-    runs = []
-    for s in scenarios:
-        prop = run_proposed(s, max_iter=12)
-        ind = run_industry(s, escalation_factor=1.1, max_iter=40)
-        runs.append((s, prop, ind))
-    return runs, time.perf_counter() - t0
 
 
 def test_criterion_01_integrator_oracle():

@@ -2,15 +2,18 @@
 
 import dataclasses
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fcuc.boundary
 import fcuc.drivers
-from conftest import battery_scenario, desk_scenario, hydro_heavy_scenario
+from conftest import desk_scenario
 from fcuc.drivers import (
+    MILP_GAP_TOL,
     audit_report,
     compare_runs,
     load_report,
@@ -87,9 +90,13 @@ def test_comparison(proposed, industry):
         compare_runs(proposed, other)
 
 
-def test_hydro_only_system_learns_one_dimensional_cuts():
-    s = hydro_heavy_scenario()
-    rep = run_proposed(s, max_iter=12)
+def _paired(paired_runs, name):
+    """The scenario and proposed-model report of one paired corpus day."""
+    return next((s, prop) for s, prop, _ in paired_runs[0] if s.name == name)
+
+
+def test_hydro_only_system_learns_one_dimensional_cuts(paired_runs):
+    s, rep = _paired(paired_runs, "hydro-heavy")
     assert rep.status == "converged"
     assert rep.cuts
     for _, cut in rep.cuts:
@@ -106,9 +113,8 @@ def _reachable(s, cls):
 
 
 @pytest.fixture(scope="module")
-def batt():
-    s = battery_scenario()
-    return s, run_proposed(s, max_iter=12)
+def batt(paired_runs):
+    return _paired(paired_runs, "desk-batt")
 
 
 def test_no_cut_admits_a_failing_reachable_commitment(desk, proposed, batt):
@@ -136,8 +142,8 @@ def test_cuts_are_repaired_on_the_reachable_commitments_or_the_lattice(desk, mon
     """Desk's cuts are repaired on the 4 x 4 x 4 commitments its units can
     make. With five coal units of distinct ratings there are more than the
     7 x 7 x 7 lattice points, so the hour evaluates exactly that lattice on
-    [0, max(fleet, edge)], and its cut excludes every failing lattice point.
-    Learning hours in one batch gives each hour's own cut."""
+    [0, fleet], and its cut excludes every failing lattice point. Learning
+    hours in one batch gives each hour's own cut."""
     rows, grids = [], []
     batch, repair = fcuc.boundary.response_metrics_rows, fcuc.drivers.make_conservative
 
@@ -170,12 +176,57 @@ def test_cuts_are_repaired_on_the_reachable_commitments_or_the_lattice(desk, mon
     assert rows[-1] == grid.passed.size == 7 ** 3
     for axis, values in zip(grid.axes, grid.axis_values):
         assert values[0] == 0.0 and len(values) == 7
-        assert values[-1] >= fleet_capacity_mw(s, axis.tech)
+        assert values[-1] == fleet_capacity_mw(s, axis.tech)
         assert np.allclose(np.diff(values), values[-1] / 6)
     techs = [a.tech for a in grid.axes]
     failing = [caps for caps, ok, _ in grid.points() if not ok]
     assert techs == axes and failing
     assert not any(cut.satisfied(dict(zip(techs, caps))) for caps in failing)
+
+
+def test_hydro_heavy_cuts_are_repaired_on_its_eight_reachable_commitments(
+    paired_runs, monkeypatch
+):
+    """Hydro-heavy's one axis, reservoir hydro, can commit 8 capacities, far
+    fewer than the repair bound, so every hour's cut is repaired on exactly
+    those 8 points and not on a 7-point lattice."""
+    s, rep = _paired(paired_runs, "hydro-heavy")
+    grids = []
+    repair = fcuc.drivers.make_conservative
+
+    def recorded_repair(cut, grid):
+        grids.append(grid)
+        return repair(cut, grid)
+
+    monkeypatch.setattr(fcuc.drivers, "make_conservative", recorded_repair)
+    axis = TechClass.HYDRO_RESERVOIR
+    cuts = fcuc.drivers._learn_cuts(s, [hour for hour, _ in rep.cuts], [axis])
+    reachable = _reachable(s, axis)
+    assert len(reachable) == 8
+    assert len(grids) == sum(cut is not None for cut in cuts.values()) > 0
+    for grid in grids:
+        assert [a.tech for a in grid.axes] == [axis]
+        assert [list(v) for v in grid.axis_values] == [reachable]
+
+
+def test_paired_corpus_matches_its_recorded_results(paired_runs):
+    """Both models on each paired corpus day give the results recorded in
+    corpus_results.json: status, iterations and cut count exactly, the
+    objective and the final reserve within the MILP gap, relative."""
+    recorded = json.loads((Path(__file__).parent / "corpus_results.json").read_text())
+    runs, _ = paired_runs
+    assert sorted(recorded) == sorted(s.name for s, _, _ in runs)
+    for s, prop, ind in runs:
+        for rep in (prop, ind):
+            want, where = recorded[s.name][rep.model], f"{s.name} {rep.model}"
+            assert (rep.status, rep.iterations, len(rep.cuts)) == (
+                want["status"], want["iterations"], want["cuts"]), where
+            assert math.isclose(rep.objective, float(want["objective"]),
+                                rel_tol=MILP_GAP_TOL), where
+            reserve = want["final_reserve_mw"]
+            assert (rep.final_reserve_mw is None) == (reserve is None), where
+            if reserve is not None:
+                assert math.isclose(rep.final_reserve_mw, reserve, rel_tol=MILP_GAP_TOL), where
 
 
 def test_non_convergence_at_iteration_cap(desk):

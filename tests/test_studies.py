@@ -1,8 +1,12 @@
 """Planning studies: NPV arithmetic, equivalence ratios, inverter-lag sweep."""
 
+from dataclasses import replace
+
 import pytest
 
+import fcuc.boundary
 from conftest import desk_scenario
+from fcuc.boundary import BracketingError
 from fcuc.dynamics import TechClass
 from fcuc.studies import equivalence_study, gfm_sensitivity, npv_analysis, study_context
 
@@ -107,3 +111,39 @@ def test_gfm_sensitivity_rejects_nonpositive_lag(desk):
     for lag in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="positive"):
             gfm_sensitivity(desk, time_constants_s=(0.02, lag))
+
+
+def test_gfm_sensitivity_is_one_search_over_every_lag(desk, monkeypatch):
+    """The lag sweep gives each lag's own equivalence_study bit for bit, from
+    one edge search over every lag: no more kernel calls than the slowest lag
+    takes alone. Without an edge, it raises as the first lag's study does."""
+    calls = []
+    batch = fcuc.boundary.response_metrics_rows
+
+    def counted(contexts, capacities, owner):
+        calls.append(len(capacities))
+        return batch(contexts, capacities, owner)
+
+    monkeypatch.setattr(fcuc.boundary, "response_metrics_rows", counted)
+    lags = (0.02, 0.1, 1.0)
+
+    def at_lag(ctx, tc):
+        return replace(ctx, dynamics=replace(ctx.dynamics, gfm_lag_s=tc))
+
+    ctx = study_context(desk).with_capacities({TechClass.STEAM: 800.0})
+    singles, single_calls = [], []
+    for tc in lags:
+        calls.clear()
+        res = equivalence_study(desk, TechClass.GFM, TechClass.CONDENSER, at_lag(ctx, tc))
+        singles.append((tc, res))
+        single_calls.append(len(calls))
+    calls.clear()
+    assert gfm_sensitivity(desk, lags, context=ctx) == singles
+    assert 0 < len(calls) <= max(single_calls)
+
+    bare = study_context(desk)
+    with pytest.raises(BracketingError) as one:
+        equivalence_study(desk, TechClass.GFM, TechClass.CONDENSER, at_lag(bare, lags[0]))
+    with pytest.raises(BracketingError, match="condenser") as many:
+        gfm_sensitivity(desk, lags, context=bare)
+    assert str(many.value) == str(one.value)
