@@ -2,11 +2,11 @@
 
 One loop serves both: solve the commitment MILP, simulate every hour, and
 refine the build options until every hour complies. run_proposed refines by
-adding simulation-verified nadir cuts learned per failing hour, every hour of
-a refine step in one edge search and one batch of repair points, each cut
-repaired against the commitments the MILP can make; run_industry escalates a
-uniform reserve requirement. Both return a RunReport of the last MILP
-solved, auditable against an independent re-simulation.
+adding simulation-verified nadir cuts, one per demand level that fails, every
+level of a refine step in one edge search and one batch of repair points,
+each cut repaired against the commitments the MILP can make; run_industry
+escalates a uniform reserve requirement. Both return a RunReport of the last
+MILP solved, auditable against an independent re-simulation.
 """
 
 from __future__ import annotations
@@ -218,26 +218,24 @@ def _iterate(
 
 
 def run_proposed(s: SystemScenario, max_iter: int = DEFAULT_MAX_ITER) -> RunReport:
-    """Iterative FCUC: solve, audit every hour dynamically, add a learned
-    nadir cut for each failing hour, repeat until compliant.
+    """Iterative FCUC: solve, audit every hour dynamically, add learned nadir
+    cuts, repeat until compliant. Hours share one cut per 50 MW demand level:
+    once an hour of a level fails without a cut, the level's cut is learned
+    at its lowest-demand hour (the earlier on a tie) and placed on all its
+    hours. The nadir never falls as load damping, which scales with demand,
+    rises, so the cut admits no failing reachable commitment at any of them.
     """
     axes = [cls for cls in COMMITTED_CLASSES if units_of(s, cls)]
-    cut_cache: dict[int, NadirCut | None] = {}  # demand-level key -> cut
-
-    def key(hour: int) -> int:
-        return int(round(s.demand[hour - 1] / 50.0))
+    level = {hour: round(s.demand[hour - 1] / 50.0) for hour in range(1, s.periods + 1)}
+    learner = {k: min((h for h in level if level[h] == k), key=lambda h: s.demand[h - 1])
+               for k in level.values()}
 
     def add_cuts(opts: BuildOptions, failing: list[int]) -> BuildOptions | None:
-        # an hour holds at most one cut, its demand level's: only hours
-        # without one take part, and the first of each level not yet
-        # learned learns its cut
-        held = {hour for hour, _ in opts.nadir_cuts}
-        hours = [hour for hour in failing if hour not in held]
-        learners = {key(hour): hour for hour in reversed(hours) if key(hour) not in cut_cache}
-        learned = _learn_cuts(s, list(learners.values()), axes)
-        cut_cache.update((k, learned[hour]) for k, hour in learners.items())
-        cuts = tuple((hour, replace(cut_cache[key(hour)], context_id=f"hour={hour}"))
-                     for hour in hours if cut_cache[key(hour)] is not None)
+        held = {hour for hour, _ in opts.nadir_cuts}  # the hours of every learned level
+        new = dict.fromkeys(level[hour] for hour in failing if hour not in held)
+        learned = _learn_cuts(s, [learner[k] for k in new], axes)
+        cuts = tuple((hour, replace(cut, context_id=f"hour={hour}")) for hour, k in level.items()
+                     if k in new and (cut := learned[learner[k]]) is not None)
         if not cuts:
             return None  # every failing nadir hour holds a cut, or none was learned
         return replace(opts, nadir_cuts=opts.nadir_cuts + cuts)

@@ -7,6 +7,7 @@ stable (`u_<unit>_<t>` etc.) and shared with the MPS writer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +75,9 @@ class MilpProblem:
         for j, c in coeffs.items():
             if not 0 <= j < len(self.variables):
                 raise ValueError(f"row {name!r} references unknown column {j}")
-            if not np.isfinite(c):
+            if not math.isfinite(c):
                 raise ValueError(f"row {name!r} has non-finite coefficient on column {j}")
-        if not np.isfinite(rhs):
+        if not math.isfinite(rhs):
             raise ValueError(f"row {name!r} has non-finite rhs")
         self.rows.append(Row(name, dict(coeffs), sense, rhs))
         self._row_names.add(name)

@@ -112,16 +112,21 @@ def _reachable(s, cls):
                    for n in range(len(units) + 1) for subset in itertools.combinations(units, n)})
 
 
-@pytest.fixture(scope="module")
-def batt(paired_runs):
-    return _paired(paired_runs, "desk-batt")
-
-
-def test_no_cut_admits_a_failing_reachable_commitment(desk, proposed, batt):
-    """Every cut of a run, at its own hour (where it was learned or where
-    the demand-level cache reused it), excludes every commitment the MILP
-    can make that fails the nadir floor there."""
-    for s, rep in ((desk, proposed), batt):
+def test_no_cut_admits_a_failing_reachable_commitment(desk, proposed, paired_runs):
+    """Every hour of a 50 MW demand level with a cut holds that level's one
+    cut, named for the hour. Every cut, at its own hour (where it was
+    learned or where the level placed it, failing or not), excludes every
+    commitment the MILP can make that fails the nadir floor there."""
+    runs = [(desk, proposed)] + [(s, prop) for s, prop, _ in paired_runs[0]]
+    for s, rep in runs:
+        level = {t: round(s.demand[t - 1] / 50.0) for t in range(1, s.periods + 1)}
+        held = dict(rep.cuts)
+        assert len(held) == len(rep.cuts), s.name
+        for hour, cut in rep.cuts:
+            assert cut.context_id == f"hour={hour}", s.name
+            for t in (t for t in level if level[t] == level[hour]):
+                assert t in held, f"{s.name} hour {t}"
+                assert dataclasses.replace(held[t], context_id=cut.context_id) == cut, s.name
         axes = [c for c in COMMITTED_CLASSES if units_of(s, c)]
         points = list(itertools.product(*(_reachable(s, c) for c in axes)))
         contexts = [fleet_mix(s, hour) for hour, _ in rep.cuts]
@@ -135,7 +140,28 @@ def test_no_cut_admits_a_failing_reachable_commitment(desk, proposed, batt):
                 failing += 1
                 hour, cut = rep.cuts[k]
                 assert not cut.satisfied(dict(zip(axes, p))), f"{s.name} hour {hour}: {p}"
-        assert len(rep.cuts) == 24 and failing > 0
+        assert failing > 0 or not rep.cuts, s.name
+    assert len(proposed.cuts) == 24
+
+
+def test_each_level_is_learned_once_at_its_lowest_demand_hour(hydro_heavy, monkeypatch):
+    """Hydro-heavy learns each 50 MW demand level at the level's
+    lowest-demand hour of the day, failing or not, once; its cuts then
+    cover every hour that would fail in the next solve."""
+    learn, learned = fcuc.drivers._learn_cuts, []
+
+    def recorded(s, hours, axes):
+        learned.extend(hours)
+        return learn(s, hours, axes)
+
+    monkeypatch.setattr(fcuc.drivers, "_learn_cuts", recorded)
+    rep = run_proposed(hydro_heavy, max_iter=12)
+    demand = dict(enumerate(hydro_heavy.demand, start=1))
+    level = {t: round(d / 50.0) for t, d in demand.items()}
+    assert learned and len({level[h] for h in learned}) == len(learned)
+    for h in learned:
+        assert h == min((t for t in level if level[t] == level[h]), key=demand.get)
+    assert (rep.status, rep.iterations) == ("converged", 2)
 
 
 def test_cuts_are_repaired_on_the_reachable_commitments_or_the_lattice(desk, monkeypatch):

@@ -6,8 +6,9 @@ nadir search against the whole 1 ms grid, the stacked exponential against
 scipy's one matrix at a time, the doubling power tables against repeated
 multiplication, the kernel's nadir against RK4 (also with nearly equal steam
 lags, where A is close to defective), and a non-finite capacity against
-validation. Also the damping monotonicity that a cut learned at a bucket's
-lowest damping would rely on, confirmed by RK4 on a sample."""
+validation. Also the damping monotonicity that a demand level's cut,
+learned at the level's lowest damping, relies on, one mix at a time and as
+capacity rows over contexts, confirmed by RK4 on a sample."""
 
 import random
 from dataclasses import replace
@@ -298,6 +299,23 @@ def test_an_owner_that_names_no_context_is_refused(owner):
 def test_nadir_never_falls_as_damping_rises(mix, extra):
     higher = replace(mix, load_damping_mw_per_pu=mix.load_damping_mw_per_pu + extra)
     assert response_metrics(higher).nadir_hz >= response_metrics(mix).nadir_hz - NADIR_TOL_HZ
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    context=contexts(),
+    rows=st.lists(_ROW, min_size=1, max_size=6),
+    dampings=st.lists(st.floats(0.0, 3000.0), min_size=2, max_size=5),
+)
+def test_capacity_rows_nadir_never_falls_as_damping_rises(context, rows, dampings):
+    # the premise of learning a demand level's cut at its lowest-damping
+    # hour: every row, on contexts that differ only in damping, in one call
+    ctxs = [replace(context, load_damping_mw_per_pu=d) for d in sorted(dampings)]
+    owner = [k for k in range(len(ctxs)) for _ in rows]
+    nadirs = [m.nadir_hz for m in response_metrics_rows(ctxs, rows * len(ctxs), owner)]
+    for i in range(len(rows)):
+        column = nadirs[i::len(rows)]
+        assert all(b >= a - NADIR_TOL_HZ for a, b in zip(column, column[1:]))
 
 
 def test_rk4_confirms_the_nadir_rises_with_damping():

@@ -49,8 +49,12 @@ def test_container_rejects_duplicates_and_bad_rows():
         p.add_row("s", {0: 1.0}, "<", 1.0)
     with pytest.raises(ValueError, match="unknown column"):
         p.add_row("t", {5: 1.0}, LE, 1.0)
-    with pytest.raises(ValueError, match="non-finite"):
-        p.add_row("u", {0: np.inf}, LE, 1.0)
+    for bad in (np.inf, float("nan")):
+        with pytest.raises(ValueError, match="^row 'u' has non-finite coefficient on column 0$"):
+            p.add_row("u", {0: bad}, LE, 1.0)
+        with pytest.raises(ValueError, match="^row 'u' has non-finite rhs$"):
+            p.add_row("u", {0: 1.0}, LE, bad)
+    assert not p.has_row("u")
     with pytest.raises(ValueError, match="NaN"):
         p.add_var("bad", lb=float("nan"))
 
