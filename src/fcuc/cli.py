@@ -72,6 +72,13 @@ def _parse_finite(text: str) -> float:
     return value
 
 
+def _parse_count(text: str) -> int:
+    """The value of a count option: an integer, at least 1."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"{text}: must be an integer >= 1")
+    return int(text)
+
+
 def _parse_capacity(text: str) -> tuple[TechClass, float]:
     tech, sep, mw = text.partition("=")
     try:
@@ -194,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--hour", type=int, default=1)
     sim.add_argument("--override", action="append", type=_parse_capacity, metavar="tech=MW")
     sim.add_argument("--trace-out")
-    sim.add_argument("--decimate", type=int, default=10)
+    sim.add_argument("--decimate", type=_parse_count, default=10)
     sim.set_defaults(func=_cmd_simulate)
 
     bnd = sub.add_parser("boundary", help="sweep a compliance grid and fit a cut")

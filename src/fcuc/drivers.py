@@ -11,11 +11,12 @@ MILP solved, auditable against an independent re-simulation.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -77,9 +78,10 @@ class RunReport:
     status: str  # "converged" | "non_convergence" | "infeasible" | "limit"
     iterations: int
     objective: float
-    cost_breakdown: dict[str, float]
-    hourly_metrics: dict[int, FrequencyMetrics]
-    hourly_committed_mw: dict[str, dict[int, float]]  # tech class -> hour -> MW
+    cost_breakdown: dict[str, float] = field(default_factory=dict)
+    hourly_metrics: dict[int, FrequencyMetrics] = field(default_factory=dict)
+    # tech class -> hour -> MW
+    hourly_committed_mw: dict[str, dict[int, float]] = field(default_factory=dict)
     cuts: list[tuple[int, NadirCut]] = field(default_factory=list)
     final_reserve_mw: float | None = None
     reserve_trajectory_mw: list[float] = field(default_factory=list)
@@ -117,13 +119,13 @@ def _simulate_all_hours(s: SystemScenario, sol: UcSolution):
     return metrics, failing_nadir, all_ok
 
 
-def _subset_sums(units, cap: int) -> list[float] | None:
+def _subset_sums(units) -> list[float] | None:
     """The distinct capacities a class can commit, the subset sums of its
-    units' pmax, built in unit order; None once there are more than cap."""
+    units' pmax, built in unit order; None past _REPAIR_POINTS of them."""
     sums = [0.0]
     for u in units:
         sums = list(dict.fromkeys(sums + [x + u.pmax_mw for x in sums]))
-        if len(sums) > cap:
+        if len(sums) > _REPAIR_POINTS:
             return None
     return sorted(sums)
 
@@ -141,7 +143,7 @@ def _learn_cuts(
     contexts = [fleet_mix(s, hour) for hour in hours]
     fleet = {cls: fleet_capacity_mw(s, cls) for cls in axes}
     hi = max(EDGE_HI_MW, 10.0 * max(fleet.values(), default=0.0))
-    sums = {cls: _subset_sums(units_of(s, cls), _REPAIR_POINTS) for cls in axes}
+    sums = {cls: _subset_sums(units_of(s, cls)) for cls in axes}
     if None in sums.values() or math.prod(map(len, sums.values())) > _REPAIR_POINTS:
         values = {cls: np.linspace(0.0, mw, _LATTICE_POINTS) for cls, mw in fleet.items()}
     else:
@@ -329,54 +331,38 @@ def compare_runs(a: RunReport, b: RunReport) -> ComparisonResult:
 # ---------------------------------------------------------------------------
 # report (de)serialization — machine-readable JSON for the CLI
 
+#: the fields a report document holds, in order: every field but the solution
+_DOC_FIELDS = [f for f in fields(RunReport) if f.name != "solution"]
+
+
 def report_to_dict(r: RunReport) -> dict:
-    return {
-        "model": r.model,
-        "scenario_name": r.scenario_name,
-        "status": r.status,
-        "iterations": r.iterations,
-        "objective": r.objective,
-        "cost_breakdown": r.cost_breakdown,
-        "hourly_metrics": {
-            str(t): {
-                "nadir_hz": m.nadir_hz,
-                "initial_rocof_hz_s": m.initial_rocof_hz_s,
-                "qss_dev_hz": m.qss_dev_hz,
-                "time_of_nadir_s": m.time_of_nadir_s,
-            }
-            for t, m in r.hourly_metrics.items()
-        },
-        "hourly_committed_mw": {
-            cls: {str(t): v for t, v in hours.items()}
-            for cls, hours in r.hourly_committed_mw.items()
-        },
-        "cuts": [{"hour": h, **cut.to_dict()} for h, cut in r.cuts],
-        "final_reserve_mw": r.final_reserve_mw,
-        "reserve_trajectory_mw": r.reserve_trajectory_mw,
-        "wall_time_s": r.wall_time_s,
+    """The report as a JSON document: every field but the solution, in field
+    order; hours become string keys, metrics objects, each cut an object."""
+    d = {f.name: getattr(r, f.name) for f in _DOC_FIELDS}
+    d["hourly_metrics"] = {str(t): asdict(m) for t, m in r.hourly_metrics.items()}
+    d["hourly_committed_mw"] = {
+        cls: {str(t): v for t, v in hours.items()} for cls, hours in r.hourly_committed_mw.items()
     }
+    d["cuts"] = [{"hour": h, **cut.to_dict()} for h, cut in r.cuts]
+    return d
 
 
 def report_from_dict(d: dict) -> RunReport:
-    return RunReport(
-        model=d["model"],
-        scenario_name=d["scenario_name"],
-        status=d["status"],
-        iterations=d["iterations"],
-        objective=d["objective"],
-        cost_breakdown=dict(d.get("cost_breakdown", {})),
-        hourly_metrics={
-            int(t): FrequencyMetrics(**m) for t, m in d.get("hourly_metrics", {}).items()
-        },
-        hourly_committed_mw={
-            cls: {int(t): v for t, v in hours.items()}
-            for cls, hours in d.get("hourly_committed_mw", {}).items()
-        },
-        cuts=[(c["hour"], NadirCut.from_dict(c)) for c in d.get("cuts", [])],
-        final_reserve_mw=d.get("final_reserve_mw"),
-        reserve_trajectory_mw=list(d.get("reserve_trajectory_mw", [])),
-        wall_time_s=d.get("wall_time_s", 0.0),
-    )
+    """The report of a report_to_dict document, sharing no dict or list with
+    it; a field the document lacks takes its default. Raises ValueError for a
+    document that is not an object or lacks a field with no default."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a report must be a JSON object, not {type(d).__name__}")
+    for f in _DOC_FIELDS:
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"report lacks the field {f.name!r}")
+    r = RunReport(**copy.deepcopy({f.name: d[f.name] for f in _DOC_FIELDS if f.name in d}))
+    r.hourly_metrics = {int(t): FrequencyMetrics(**m) for t, m in r.hourly_metrics.items()}
+    r.hourly_committed_mw = {
+        cls: {int(t): v for t, v in hours.items()} for cls, hours in r.hourly_committed_mw.items()
+    }
+    r.cuts = [(c["hour"], NadirCut.from_dict(c)) for c in r.cuts]
+    return r
 
 
 def save_report(r: RunReport, path: str) -> None:

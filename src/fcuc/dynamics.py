@@ -147,9 +147,8 @@ class OnlineMix:
 class LinearSystem:
     """x' = A x + b with constant b (step disturbance applied at t = 0)."""
 
-    a: np.ndarray
+    a: np.ndarray  # state 0 is the frequency deviation
     b: np.ndarray
-    c_freq: np.ndarray  # row selecting the frequency deviation
     mech_rows: dict[TechClass, np.ndarray]  # MW mechanical power per governor class
     inertia_mws: float
     contingency_mw: float
@@ -205,19 +204,6 @@ class _Block:
     contingency_mw: np.ndarray
     nominal_freq_hz: np.ndarray
     contexts: Sequence[OnlineMix]  # for error messages
-
-
-@dataclass(frozen=True)
-class _Systems:
-    """The state-space models of a stack of mixes, one per leading index."""
-
-    aug: np.ndarray  # (n, 9, 9) M = [[A, b], [0, 0]]: [x; 1]' = M [x; 1]
-    a: np.ndarray  # (n, 8, 8), a view of aug
-    b: np.ndarray  # (n, 8), a view of aug; only the swing row is non-zero
-    mech: np.ndarray  # (n, 4, 8) MW mechanical power rows, GOVERNOR_CLASSES order
-    inertia_mws: np.ndarray  # (n,)
-    contingency_mw: np.ndarray
-    nominal_freq_hz: np.ndarray
 
 
 def _block(contexts: Sequence[OnlineMix]) -> _Block:
@@ -313,10 +299,14 @@ def _inertia(block: _Block, caps: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return m
 
 
-def _assemble(block: _Block, caps: np.ndarray, owner: np.ndarray, m: np.ndarray) -> _Systems:
+def _assemble(
+    block: _Block, caps: np.ndarray, owner: np.ndarray, m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The models of capacity rows caps, (n, 6) MW in TechClass order, row i
-    on the block's context owner[i], with their inertia m from _inertia.
-    """
+    on the block's context owner[i], with their inertia m from _inertia: M =
+    [[A, b], [0, 0]] (n, 9, 9), [x; 1]' = M [x; 1], with b non-zero only in
+    the swing row, and the MW mechanical power rows (n, 4, 8), GOVERNOR_CLASSES
+    order."""
     contingency = block.contingency_mw[owner]
     a = block.a[owner]
     mech = block.mech[owner] * caps[:, :len(GOVERNOR_CLASSES), None]
@@ -329,25 +319,21 @@ def _assemble(block: _Block, caps: np.ndarray, owner: np.ndarray, m: np.ndarray)
     m_safe = np.where(disturbed, m, 1.0)
     a[:, 0, :8] = np.where(disturbed[:, None], swing / m_safe[:, None], 0.0)
     a[:, 0, 8] = np.where(disturbed, -contingency / m_safe, 0.0)
-    return _Systems(
-        a, a[:, :8, :8], a[:, :8, 8], mech, m, contingency, block.nominal_freq_hz[owner]
-    )
+    return a, mech
 
 
 def assemble_state_space(mix: OnlineMix) -> LinearSystem:
     """The aggregate swing + governor model of one online mix (see _block)."""
     block, caps, owner = _block([mix]), np.array([mix.capacities_mw()]), np.zeros(1, dtype=int)
-    sys = _assemble(block, caps, owner, _inertia(block, caps, owner))
-    c = np.zeros(sys.a.shape[-1])
-    c[0] = 1.0
+    m = _inertia(block, caps, owner)
+    aug, mech = _assemble(block, caps, owner, m)
     return LinearSystem(
-        a=sys.a[0],
-        b=sys.b[0],
-        c_freq=c,
-        mech_rows={cls: sys.mech[0, k] for k, cls in enumerate(GOVERNOR_CLASSES)},
-        inertia_mws=float(sys.inertia_mws[0]),
-        contingency_mw=float(sys.contingency_mw[0]),
-        nominal_freq_hz=float(sys.nominal_freq_hz[0]),
+        a=aug[0, :8, :8],
+        b=aug[0, :8, 8],
+        mech_rows={cls: mech[0, k] for k, cls in enumerate(GOVERNOR_CLASSES)},
+        inertia_mws=float(m[0]),
+        contingency_mw=float(block.contingency_mw[0]),
+        nominal_freq_hz=float(block.nominal_freq_hz[0]),
     )
 
 
@@ -355,7 +341,7 @@ def assemble_state_space(mix: OnlineMix) -> LinearSystem:
 # integration
 
 def simulate_response(
-    sys: LinearSystem, horizon_s: float | None = None, step_s: float | None = None
+    sys: LinearSystem, horizon_s: float = 30.0, step_s: float = 0.001
 ) -> FrequencyTrace:
     """Classic fourth-order fixed-step integration of the step response.
 
@@ -363,10 +349,6 @@ def simulate_response(
     x_{k+1} = Phi x_k + Gamma with Phi the degree-4 Taylor polynomial of
     exp(h A); the loop below is bit-identical to textbook RK4.
     """
-    if horizon_s is None:
-        horizon_s = 30.0
-    if step_s is None:
-        step_s = 0.001
     if step_s <= 0 or horizon_s <= 0:
         raise ValueError("step_s and horizon_s must be positive")
 
@@ -401,7 +383,7 @@ def simulate_response(
         )
 
     time = np.arange(nsteps + 1) * h
-    delta = xs @ sys.c_freq
+    delta = xs[:, 0]
     mech = {cls: xs @ row for cls, row in sys.mech_rows.items()}
     return FrequencyTrace(
         time_s=time,
@@ -536,26 +518,26 @@ def _qss_pu(a: np.ndarray, b: np.ndarray, horizon_pu: np.ndarray) -> np.ndarray:
 
 
 def _chunk_metrics(
-    block: _Block, caps: np.ndarray, owner: np.ndarray, m: np.ndarray, horizon: float, step: float
+    block: _Block, caps: np.ndarray, owner: np.ndarray, m: np.ndarray, dyn: DynamicParams
 ) -> list[FrequencyMetrics]:
-    """Metrics of a chunk of capacity rows (see _assemble) whose contexts
-    share the sample grid (horizon, step)."""
-    n = len(caps)
-    systems = _assemble(block, caps, owner, m)
+    """Metrics of a chunk of capacity rows (see _assemble) on the sample grid
+    of dyn."""
+    n, step = len(caps), dyn.step_s
+    aug, _ = _assemble(block, caps, owner, m)
     # zero-order hold: exp(step M) advances [x; 1] one sample exactly, for
     # any A; an unstable system overflows, and _sample_search raises
     with np.errstate(over="ignore", invalid="ignore"):
         nadir_pu, nadir_k, horizon_pu = _sample_search(
-            _expm1(step * systems.aug), int(round(horizon / step))
+            _expm1(step * aug), int(round(dyn.horizon_s / step))
         )
-    f0, m = systems.nominal_freq_hz, systems.inertia_mws
+    f0 = block.nominal_freq_hz[owner]
     # zero inertia is only valid with no disturbance (_inertia), so then delta == 0
-    rocof = np.divide(systems.contingency_mw * f0, m, out=np.zeros(n), where=m > 0)
+    rocof = np.divide(block.contingency_mw[owner] * f0, m, out=np.zeros(n), where=m > 0)
     # The quasi-steady-state is the asymptote of the linear system, available
     # exactly as its DC gain; the slow hydro governor (reset stretched by
     # R_T/R) settles long after the nadir window, so the final sample of a
     # nadir-length trace would overstate it.
-    qss = f0 * np.abs(_qss_pu(systems.a, systems.b, horizon_pu))
+    qss = f0 * np.abs(_qss_pu(aug[:, :8, :8], aug[:, :8, 8], horizon_pu))
     return [
         FrequencyMetrics(nadir_hz=nd, initial_rocof_hz_s=rc, qss_dev_hz=qs, time_of_nadir_s=ts)
         for nd, rc, qs, ts in zip(
@@ -573,34 +555,28 @@ def response_metrics_rows(
     with the row's capacities in place of that context's online capacities,
     without building a mix per row.
 
-    Nadir and its time come from the exact zero-order-hold propagation of
-    the step response, sampled on the same grid as simulate_response; rows
-    are grouped by their context's (horizon_s, step_s) and evaluated
-    CHUNK_MIXES at a time. RoCoF is dPe f0 / m and the QSS deviation the
-    exact asymptote (DC gain). The capacity-free part of the model is built
-    once per context, and each row's metrics are the same whatever batch it
-    is evaluated in. Every row is checked before any is evaluated, so a bad
-    row raises the first row's error in row order (see _inertia), whatever
-    the grouping.
+    Every context of a call samples one grid, (horizon_s, step_s); contexts
+    on two grids raise ValueError. Nadir and its time come from the exact
+    zero-order-hold propagation of the step response, sampled on the same
+    grid as simulate_response, CHUNK_MIXES rows at a time in row order.
+    RoCoF is dPe f0 / m and the QSS deviation the exact asymptote (DC gain).
+    The capacity-free part of the model is built once per context, and each
+    row's metrics are the same whatever batch it is evaluated in. Every row
+    is checked before any is evaluated, so a bad row raises the first row's
+    error in row order (see _inertia).
     """
+    if len({(ctx.dynamics.horizon_s, ctx.dynamics.step_s) for ctx in contexts}) > 1:
+        raise ValueError("the contexts of a call must share one sample grid (horizon_s, step_s)")
     caps = np.asarray(capacities, dtype=float).reshape(-1, len(TechClass))
     owner = np.asarray(owner, dtype=int)
-    owners = owner.tolist()
-    if owner.shape != (len(caps),) or not set(owners) <= set(range(len(contexts))):
+    if owner.shape != (len(caps),) or not set(owner.tolist()) <= set(range(len(contexts))):
         raise ValueError("owner must name one of the contexts for every capacity row")
     block = _block(contexts)
     m = _inertia(block, caps, owner)
-    keys = [(ctx.dynamics.horizon_s, ctx.dynamics.step_s) for ctx in contexts]
-    grids: dict[tuple[float, float], list[int]] = {}
-    for i, k in enumerate(owners):
-        grids.setdefault(keys[k], []).append(i)
-    out: list[FrequencyMetrics] = [None] * len(caps)  # type: ignore[list-item]
-    for (horizon, step), members in grids.items():
-        for c in range(0, len(members), CHUNK_MIXES):
-            chunk = members[c:c + CHUNK_MIXES]
-            metrics = _chunk_metrics(block, caps[chunk], owner[chunk], m[chunk], horizon, step)
-            for i, met in zip(chunk, metrics):
-                out[i] = met
+    out: list[FrequencyMetrics] = []
+    for c in range(0, len(caps), CHUNK_MIXES):
+        rows = slice(c, c + CHUNK_MIXES)
+        out += _chunk_metrics(block, caps[rows], owner[rows], m[rows], contexts[0].dynamics)
     return out
 
 
@@ -651,6 +627,8 @@ def check_compliance(metrics: FrequencyMetrics, limits: FrequencyLimits) -> Comp
 
 def export_trace(trace: FrequencyTrace, path: str, decimate: int = 1) -> None:
     """Write a trace as delimited text: time, df in Hz, per-class mech MW."""
+    if decimate < 1:
+        raise ValueError(f"decimate must be >= 1, not {decimate}")
     classes = list(trace.mech_mw)
     with open(path, "w") as fh:
         fh.write("time_s\tdelta_f_hz\t" + "\t".join(c.value + "_mw" for c in classes) + "\n")

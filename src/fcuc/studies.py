@@ -105,14 +105,13 @@ def equivalence_study(
     tech_a: TechClass,
     tech_b: TechClass,
     context: OnlineMix | None = None,
-    tol_mw: float = BISECT_TOL_MW,
 ) -> EquivalenceResult:
     """Per-MW nadir-effect ratio: how many MW of tech_b match 1 MW of tech_a,
     measured as the ratio of bisected minimum stand-alone capacities in a
     fixed context.
     """
     ctx = context if context is not None else study_context(s)
-    return _equivalences(s, (tech_a, tech_b), [ctx], tol_mw)[0]
+    return _equivalences(s, (tech_a, tech_b), [ctx], BISECT_TOL_MW)[0]
 
 
 def _equivalences(

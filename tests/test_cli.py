@@ -57,6 +57,15 @@ def test_simulate(desk_path, capsys, tmp_path):
     assert printed["compliant"] == str(check_compliance(met, s.limits).passed)
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_simulate_refuses_a_decimate_below_one(desk_path, capsys, tmp_path, value):
+    trace = tmp_path / "trace.tsv"
+    argv = ["simulate", "--scenario", desk_path, "--trace-out", str(trace), "--decimate", value]
+    assert main(argv) == 1
+    assert "argument --decimate: " in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_simulate_override_changes_metrics(desk_path, capsys):
     assert main(["simulate", "--scenario", desk_path]) == 0
     base = capsys.readouterr().out
@@ -222,6 +231,23 @@ def test_solve_industry_and_compare(desk_path, capsys, tmp_path):
     capsys.readouterr()
     assert main(["compare", str(rep_p), str(rep_i)]) == 0
     assert "gap_percent" in capsys.readouterr().out
+
+
+_REPORT = {"model": "proposed", "scenario_name": "desk", "status": "converged",
+           "iterations": 1, "objective": 1.0}
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({k: v for k, v in _REPORT.items() if k != "model"}, "'model'"),
+    ([_REPORT], "a report must be a JSON object, not list"),
+])
+def test_compare_refuses_a_malformed_report(tmp_path, capsys, doc, reason):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_REPORT))
+    bad.write_text(json.dumps(doc))
+    assert main(["compare", str(good), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
 
 
 def test_solve_non_convergence_exit_2(desk_path, capsys):

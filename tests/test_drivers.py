@@ -14,6 +14,7 @@ import fcuc.drivers
 from conftest import desk_scenario
 from fcuc.drivers import (
     MILP_GAP_TOL,
+    RunReport,
     audit_report,
     compare_runs,
     load_report,
@@ -309,6 +310,57 @@ def test_report_round_trip(tmp_path, proposed, desk):
     assert report_from_dict(report_to_dict(proposed)) == stripped
     with pytest.raises(ValueError, match="no solution"):
         audit_report(desk, back)
+
+
+def test_every_paired_report_survives_save_load_save(tmp_path, paired_runs):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for _, *reports in paired_runs[0]:
+        for report in reports:
+            save_report(report, str(first))
+            back = load_report(str(first))
+            save_report(back, str(second))
+            assert first.read_bytes() == second.read_bytes()
+            assert back == dataclasses.replace(report, solution=None)
+
+
+_REQUIRED = {"model": "industry", "scenario_name": "desk", "status": "limit",
+             "iterations": 3, "objective": 12.5}
+
+
+def test_a_document_of_the_required_fields_loads_with_every_default():
+    report = report_from_dict(dict(_REQUIRED))
+    assert report == RunReport(**_REQUIRED)
+    assert report.hourly_metrics == {} and report.cuts == [] and report.final_reserve_mw is None
+
+
+@pytest.mark.parametrize("missing", sorted(_REQUIRED))
+def test_a_document_without_a_required_field_is_refused(missing):
+    doc = {k: v for k, v in _REQUIRED.items() if k != missing}
+    with pytest.raises(ValueError, match=f"report lacks the field '{missing}'"):
+        report_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [[_REQUIRED], "report", None, 3.0])
+def test_a_document_that_is_not_an_object_is_refused(doc):
+    with pytest.raises(ValueError, match="a report must be a JSON object"):
+        report_from_dict(doc)
+
+
+def _containers(doc):
+    """Every dict and list of a JSON document, the document first."""
+    if isinstance(doc, (dict, list)):
+        yield doc
+        for v in doc.values() if isinstance(doc, dict) else doc:
+            yield from _containers(v)
+
+
+def test_a_loaded_report_shares_no_dict_or_list_with_its_document(proposed, industry):
+    for report in (proposed, industry):
+        doc = json.loads(json.dumps(report_to_dict(report)))
+        back = report_from_dict(doc)
+        for container in list(_containers(doc)):
+            container.clear()
+        assert back == dataclasses.replace(report, solution=None)
 
 
 def test_dispatch_table(tmp_path, desk, proposed):

@@ -275,6 +275,15 @@ def test_trace_export(tmp_path):
     assert len(lines) == 1 + math.ceil(len(trace.time_s) / 100)
 
 
+@pytest.mark.parametrize("decimate", [0, -5])
+def test_trace_export_refuses_a_decimate_below_one(tmp_path, decimate):
+    trace = simulate_response(assemble_state_space(_random_mix(random.Random(29))), 0.01, 0.001)
+    out = tmp_path / "trace.tsv"
+    with pytest.raises(ValueError, match="decimate"):
+        export_trace(trace, str(out), decimate=decimate)
+    assert not out.exists()  # refused before the file is opened
+
+
 def test_governor_classes_and_defaults_cover_all():
     assert set(GOVERNOR_CLASSES) == {
         TechClass.STEAM, TechClass.COMBINED_CYCLE, TechClass.HYDRO_RESERVOIR, TechClass.GFM

@@ -1,6 +1,6 @@
 """Property tests for the numerical shortcuts of the batched zero-order-hold
-kernel, each against its slow path: rows on several contexts and sample
-grids in one call, in any order and chunking, against a batch of one per
+kernel, each against its slow path: rows on several contexts of one sample
+grid in one call, in any order and chunking, against a batch of one per
 row; one shared context block against one block per row; the coarse/fine
 nadir search against the whole 1 ms grid, the stacked exponential against
 scipy's one matrix at a time, the doubling power tables against repeated
@@ -91,10 +91,7 @@ _ROW = st.tuples(*[st.floats(0.0, 2000.0)] * (len(TechClass) - 1), st.floats(50.
     chunk=st.integers(1, 4),
 )
 def test_batch_is_independent_of_order_and_chunks(ctxs, rows, rnd, chunk):
-    # every context owns rows, interleaved in one call; the last context
-    # samples a second grid, so the call holds two (horizon_s, step_s) groups
-    last = ctxs[-1]
-    ctxs[-1] = replace(last, dynamics=replace(last.dynamics, horizon_s=12.3456))
+    # every context owns rows, interleaved in one call on one sample grid
     owner = [i % len(ctxs) for i in range(len(rows))]
     rnd.shuffle(owner)
     alone = [response_metrics(_row_mixes(ctxs[k], [row])[0]) for k, row in zip(owner, rows)]
@@ -156,19 +153,22 @@ def test_a_bad_capacity_row_raises_what_validation_raises(context, rows):
         assert str(raised.value) == str(expected)
 
 
-def test_a_bad_row_is_reported_in_row_order_across_sample_grids():
-    # row 1 (on the second grid) has a negative capacity and row 2 (on the
-    # first) no inertia: row 1's error comes first, whichever grid runs first
+def test_a_call_on_two_sample_grids_is_refused_before_any_row_runs(monkeypatch):
+    # the rows of one call all run on one (horizon_s, step_s) grid
     a = make_mix(capacities_mw={TechClass.CONDENSER: 500.0, TechClass.STEAM: 300.0},
                  load_damping_mw_per_pu=800.0, contingency_mw=100.0)
-    b = replace(a, dynamics=replace(a.dynamics, horizon_s=12.0))
-    good = a.capacities_mw()
-    negative = list(good)
-    negative[list(TechClass).index(TechClass.STEAM)] = -1.0
-    with pytest.raises(ValueError) as raised:
-        response_metrics_rows([a, b], [good, negative, [0.0] * 6], [0, 1, 0])
-    assert type(raised.value) is ValueError
-    assert str(raised.value) == "steam: online capacity must be finite and >= 0"
+    chunks = []
+    chunk_metrics = fcuc.dynamics._chunk_metrics
+    monkeypatch.setattr(fcuc.dynamics, "_chunk_metrics",
+                        lambda *args: chunks.append(args) or chunk_metrics(*args))
+    for grid in ({"horizon_s": 12.0}, {"step_s": 0.002}):
+        b = replace(a, dynamics=replace(a.dynamics, **grid))
+        with pytest.raises(ValueError, match="one sample grid"):
+            response_metrics_rows([a, b], [a.capacities_mw()] * 2, [0, 1])
+        assert chunks == []
+    # each grid alone runs
+    assert response_metrics_rows([b], [a.capacities_mw()], [0]) == [response_metrics(b)]
+    assert len(chunks) == 2
 
 
 @settings(max_examples=20, deadline=None)
