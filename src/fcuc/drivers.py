@@ -334,34 +334,50 @@ def compare_runs(a: RunReport, b: RunReport) -> ComparisonResult:
 #: the fields a report document holds, in order: every field but the solution
 _DOC_FIELDS = [f for f in fields(RunReport) if f.name != "solution"]
 
+#: the fields whose JSON form is not their value: (to JSON, from JSON); hours
+#: become string keys, metrics objects, each cut an object with its hour
+_CONVERTED = {
+    "hourly_metrics": (
+        lambda v: {str(t): asdict(m) for t, m in v.items()},
+        lambda d: {int(t): FrequencyMetrics(**m) for t, m in d.items()},
+    ),
+    "hourly_committed_mw": (
+        lambda v: {cls: {str(t): x for t, x in hours.items()} for cls, hours in v.items()},
+        lambda d: {cls: {int(t): x for t, x in hours.items()} for cls, hours in d.items()},
+    ),
+    "cuts": (
+        lambda v: [{"hour": h, **cut.to_dict()} for h, cut in v],
+        lambda d: [(c["hour"], NadirCut.from_dict(c)) for c in d],
+    ),
+}
+
 
 def report_to_dict(r: RunReport) -> dict:
     """The report as a JSON document: every field but the solution, in field
-    order; hours become string keys, metrics objects, each cut an object."""
-    d = {f.name: getattr(r, f.name) for f in _DOC_FIELDS}
-    d["hourly_metrics"] = {str(t): asdict(m) for t, m in r.hourly_metrics.items()}
-    d["hourly_committed_mw"] = {
-        cls: {str(t): v for t, v in hours.items()} for cls, hours in r.hourly_committed_mw.items()
-    }
-    d["cuts"] = [{"hour": h, **cut.to_dict()} for h, cut in r.cuts]
+    order, sharing no dict or list with the report."""
+    d = {}
+    for f in _DOC_FIELDS:
+        v = getattr(r, f.name)
+        d[f.name] = _CONVERTED[f.name][0](v) if f.name in _CONVERTED else copy.deepcopy(v)
     return d
 
 
 def report_from_dict(d: dict) -> RunReport:
     """The report of a report_to_dict document, sharing no dict or list with
     it; a field the document lacks takes its default. Raises ValueError for a
-    document that is not an object or lacks a field with no default."""
+    document that is not an object, lacks a field with no default, or holds
+    an hourly_metrics, hourly_committed_mw or cuts that does not convert."""
     if not isinstance(d, dict):
         raise ValueError(f"a report must be a JSON object, not {type(d).__name__}")
     for f in _DOC_FIELDS:
         if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"report lacks the field {f.name!r}")
     r = RunReport(**copy.deepcopy({f.name: d[f.name] for f in _DOC_FIELDS if f.name in d}))
-    r.hourly_metrics = {int(t): FrequencyMetrics(**m) for t, m in r.hourly_metrics.items()}
-    r.hourly_committed_mw = {
-        cls: {int(t): v for t, v in hours.items()} for cls, hours in r.hourly_committed_mw.items()
-    }
-    r.cuts = [(c["hour"], NadirCut.from_dict(c)) for c in r.cuts]
+    for name, (_, load) in _CONVERTED.items():
+        try:
+            setattr(r, name, load(getattr(r, name)))
+        except (TypeError, KeyError, AttributeError, ValueError) as exc:
+            raise ValueError(f"report field {name!r} does not convert: {exc!r}") from exc
     return r
 
 

@@ -65,14 +65,8 @@ GOVERNOR_CLASSES = (
     TechClass.GFM,
 )
 
-#: default aggregate droop / inertia per class, used when a mix is built
-#: outside a scenario context (planning studies, sweeps)
-DEFAULT_DROOP = {
-    TechClass.STEAM: 0.05,
-    TechClass.COMBINED_CYCLE: 0.05,
-    TechClass.HYDRO_RESERVOIR: 0.05,
-    TechClass.GFM: 0.05,
-}
+#: aggregate inertia constant (s) of a class the scenario has no units of;
+#: the droop of such a class is TechState's default
 DEFAULT_INERTIA_H = {
     TechClass.STEAM: 5.0,
     TechClass.COMBINED_CYCLE: 5.0,
@@ -203,7 +197,6 @@ class _Block:
     damping: np.ndarray  # (c,)
     contingency_mw: np.ndarray
     nominal_freq_hz: np.ndarray
-    contexts: Sequence[OnlineMix]  # for error messages
 
 
 def _block(contexts: Sequence[OnlineMix]) -> _Block:
@@ -269,9 +262,7 @@ def _block(contexts: Sequence[OnlineMix]) -> _Block:
         ai[7, 0] = -1.0 / (rg * dyn.gfm_lag_s)
         ai[7, 7] = -1.0 / dyn.gfm_lag_s
         mi[3, 7] = 1.0
-    return _Block(
-        a, mech, consts[:, :k], consts[:, k], consts[:, k + 1], consts[:, k + 2], contexts
-    )
+    return _Block(a, mech, consts[:, :k], consts[:, k], consts[:, k + 1], consts[:, k + 2])
 
 
 def _inertia(block: _Block, caps: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -294,7 +285,7 @@ def _inertia(block: _Block, caps: np.ndarray, owner: np.ndarray) -> np.ndarray:
             raise ValueError(f"{cls.value}: online capacity must be finite and >= 0")
         raise ZeroInertiaError(
             "cannot disturb a zero-inertia system "
-            f"(contingency {block.contexts[owner[i]].contingency_mw} MW, inertia 0)"
+            f"(contingency {float(block.contingency_mw[owner[i]])} MW, inertia 0)"
         )
     return m
 

@@ -8,12 +8,7 @@ from dataclasses import dataclass, replace
 
 from .boundary import BISECT_TOL_MW, find_edge_points_many, require_edges
 from .boundary import bisect_min_capacity  # noqa: F401  bench/spans.py wraps it here by name
-from .dynamics import (
-    DEFAULT_DROOP,
-    DEFAULT_INERTIA_H,
-    OnlineMix,
-    TechClass,
-)
+from .dynamics import OnlineMix, TechClass
 from .scenario import SystemScenario
 from .ucmodel import fleet_mix
 
@@ -76,28 +71,14 @@ class EquivalenceResult:
 
 
 def study_context(s: SystemScenario) -> OnlineMix:
-    """Sweep context for planning studies at the hour of demand closest to
-    the average: committed classes at zero, constant classes at rating, class
-    defaults filled in where the scenario has no units of a class (so any
-    technology can be swept).
+    """Sweep context for planning studies: fleet_mix at the hour of demand
+    closest to the average (committed classes at zero, constant classes at
+    rating, a class the scenario lacks at zero with its default constants,
+    so any technology can be swept).
     """
     avg = sum(s.demand) / len(s.demand)
     hour = min(range(1, s.periods + 1), key=lambda t: abs(s.demand[t - 1] - avg))
-    mix = fleet_mix(s, hour)
-    for cls in TechClass:
-        st = mix.tech(cls)
-        if st.inertia_h_s == 0.0 and st.online_mw == 0.0:
-            mix = replace(
-                mix,
-                **{
-                    cls.value: replace(
-                        st,
-                        inertia_h_s=DEFAULT_INERTIA_H[cls],
-                        droop=DEFAULT_DROOP.get(cls, st.droop),
-                    )
-                },
-            )
-    return mix
+    return fleet_mix(s, hour)
 
 
 def equivalence_study(

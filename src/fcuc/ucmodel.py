@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .boundary import NadirCut
-from .dynamics import GOVERNOR_CLASSES, OnlineMix, TechClass, TechState
+from .dynamics import DEFAULT_INERTIA_H, GOVERNOR_CLASSES, OnlineMix, TechClass, TechState
 from .milp import EQ, GE, LE, MilpProblem
 from .scenario import SyncCondenser, SystemScenario, Violation
 
@@ -508,15 +508,17 @@ def check_feasibility(
 # ---------------------------------------------------------------------------
 # commitment -> dynamic model bridge
 
-def _aggregate(entries: list[tuple[float, float, float]]) -> TechState:
+def _aggregate(cls: TechClass, entries: list[tuple[float, float, float]]) -> TechState:
     """Aggregate (capacity, droop, inertia) triples into one class state.
 
     Equivalent droop preserves the summed governor gain; inertia is
-    capacity-weighted.
+    capacity-weighted. A class with no capacity is at 0 MW with the class
+    default inertia and TechState's droop, so an override or sweep of a
+    class the scenario lacks sees the same constants everywhere.
     """
     cap = sum(c for c, _, _ in entries)
     if cap <= 0:
-        return TechState(0.0, 0.05, 0.0)
+        return TechState(inertia_h_s=DEFAULT_INERTIA_H[cls])
     gain = sum(c / r for c, r, _ in entries if r > 0)
     droop = cap / gain if gain > 0 else 0.0
     h = sum(c * hh for c, _, hh in entries) / cap
@@ -543,7 +545,7 @@ def _mix(
     if cap > 0:
         dyn = replace(dyn, gfm_lag_s=sum(b.pmax_mw * b.gfm_time_constant_s for b in gfm) / cap)
     return OnlineMix(
-        **{cls.value: _aggregate(entries[cls]) for cls in TechClass},
+        **{cls.value: _aggregate(cls, entries[cls]) for cls in TechClass},
         load_damping_mw_per_pu=damping,
         contingency_mw=s.contingency_mw,
         nominal_freq_hz=s.nominal_freq_hz,

@@ -2,7 +2,7 @@
 fast paths are checked against. Nothing in `fcuc` imports this module.
 
 - `make_mix` builds an `OnlineMix` from class capacities with the class
-  default droop and inertia constants.
+  default inertia constants and a 0.05 droop on the governor classes.
 - `own_context_metrics` evaluates a list of mixes in one kernel call, each
   mix the context of its own row, as the hourly checks do.
 - `validate_mix` checks one mix the way the kernel checks each capacity row,
@@ -40,7 +40,6 @@ except ImportError:
 
 from fcuc.boundary import ComplianceGrid, NadirCut
 from fcuc.dynamics import (
-    DEFAULT_DROOP,
     DEFAULT_INERTIA_H,
     GOVERNOR_CLASSES,
     FrequencyMetrics,
@@ -64,12 +63,13 @@ def make_mix(
     nominal_freq_hz: float = 50.0,
     dynamics: DynamicParams | None = None,
 ) -> OnlineMix:
-    """Build a mix from class capacities with default droop/inertia constants."""
+    """Build a mix from class capacities with the class default inertia
+    constants and a 0.05 droop on the governor classes."""
     caps = capacities_mw or {}
     states = {
         cls.value: TechState(
             online_mw=caps.get(cls, 0.0),
-            droop=DEFAULT_DROOP.get(cls, 0.0),
+            droop=0.05 if cls in GOVERNOR_CLASSES else 0.0,
             inertia_h_s=DEFAULT_INERTIA_H[cls],
         )
         for cls in TechClass
@@ -98,7 +98,7 @@ def validate_mix(mix: OnlineMix) -> None:
     if mix.contingency_mw > 0 and mix.system_inertia_mws <= 0:
         raise ZeroInertiaError(
             "cannot disturb a zero-inertia system "
-            f"(contingency {mix.contingency_mw} MW, inertia 0)"
+            f"(contingency {float(mix.contingency_mw)} MW, inertia 0)"
         )
 
 

@@ -66,6 +66,19 @@ def test_simulate_refuses_a_decimate_below_one(desk_path, capsys, tmp_path, valu
     assert not trace.exists()
 
 
+def test_an_override_of_an_absent_class_adds_its_default_inertia(capsys):
+    # the example has no condensers: 500 MW of them add 2 * 3 s * 500 MW of inertia
+    example = str(pathlib.Path(__file__).resolve().parents[1] / "scripts" / "example_scenario.json")
+    s = load_scenario(example)
+    assert fleet_capacity_mw(s, TechClass.CONDENSER) == 0.0
+    mix = fleet_mix(s, 12).with_capacities({c: fleet_capacity_mw(s, c) for c in COMMITTED_CLASSES})
+    m = mix.system_inertia_mws
+    assert main(["simulate", "--scenario", example, "--override", "condenser=500"]) == 0
+    printed = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+    rocof = s.contingency_mw * s.nominal_freq_hz / (m + 2.0 * 3.0 * 500.0)
+    assert printed["initial_rocof_hz_s"] == f"{rocof:.4f}"
+
+
 def test_simulate_override_changes_metrics(desk_path, capsys):
     assert main(["simulate", "--scenario", desk_path]) == 0
     base = capsys.readouterr().out
@@ -240,6 +253,11 @@ _REPORT = {"model": "proposed", "scenario_name": "desk", "status": "converged",
 @pytest.mark.parametrize("doc, reason", [
     ({k: v for k, v in _REPORT.items() if k != "model"}, "'model'"),
     ([_REPORT], "a report must be a JSON object, not list"),
+    ({**_REPORT, "hourly_metrics": []}, "'hourly_metrics'"),
+    ({**_REPORT, "hourly_metrics": {"1": {"nadir": 49.5}}}, "'hourly_metrics'"),
+    ({**_REPORT, "hourly_committed_mw": []}, "'hourly_committed_mw'"),
+    ({**_REPORT, "cuts": [{"hour": 1, "intercept": 1.0}]}, "'cuts'"),  # no coeffs
+    ({**_REPORT, "cuts": 5}, "'cuts'"),
 ])
 def test_compare_refuses_a_malformed_report(tmp_path, capsys, doc, reason):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"

@@ -10,7 +10,7 @@ import pytest
 import fcuc.solver
 from conftest import battery_scenario, desk_scenario
 from fcuc.boundary import NadirCut
-from fcuc.dynamics import TechClass
+from fcuc.dynamics import DEFAULT_INERTIA_H, TechClass, TechState
 from fcuc.milp import EQ, GE, LE, MilpProblem
 from fcuc.scenario import Battery, load_scenario, validate_scenario
 from fcuc.solver import solve_milp
@@ -352,6 +352,10 @@ def test_fleet_mix_zeroes_committed_classes(desk_s):
     assert mix.tech(TechClass.RUN_OF_RIVER).online_mw == pytest.approx(
         sum(h.pmax_mw for h in desk_s.ror_units())
     )
+    # desk has no GFM units and no condensers: each at 0 MW with its class defaults
+    for cls in (TechClass.GFM, TechClass.CONDENSER):
+        assert not units_of(desk_s, cls)
+        assert mix.tech(cls) == TechState(0.0, 0.05, DEFAULT_INERTIA_H[cls])
 
 
 def test_equivalent_droop_preserves_gain(desk_s):

@@ -9,6 +9,7 @@ from conftest import desk_scenario
 from fcuc.boundary import BracketingError
 from fcuc.dynamics import TechClass
 from fcuc.studies import equivalence_study, gfm_sensitivity, npv_analysis, study_context
+from fcuc.ucmodel import fleet_mix
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,10 @@ def test_study_context_fills_absent_classes(desk):
     # desk has no GFM units, yet the class must be sweepable
     gfm = ctx.tech(TechClass.GFM)
     assert gfm.online_mw == 0.0 and gfm.inertia_h_s > 0.0 and gfm.droop > 0.0
+    # it is the fleet mix of the hour whose demand is closest to the average
+    avg = sum(desk.demand) / len(desk.demand)
+    hour = min(range(1, desk.periods + 1), key=lambda t: abs(desk.demand[t - 1] - avg))
+    assert ctx == fleet_mix(desk, hour)
 
 
 # ---------------------------------------------------------------------------
