@@ -1,7 +1,8 @@
 """End-to-end operating models.
 
-One loop serves both: solve the commitment MILP, simulate every hour, and
-refine the build options until every hour complies. run_proposed refines by
+One loop serves both: build the day's commitment MILP once, solve it,
+simulate every hour, and refine the build options, editing the MILP in place
+to match, until every hour complies. run_proposed refines by
 adding simulation-verified nadir cuts, one per demand level that fails, every
 level of a refine step in one edge search and one batch of repair points,
 each cut repaired against the commitments the MILP can make; run_industry
@@ -34,18 +35,21 @@ from .boundary import (
 )
 from .dynamics import FrequencyMetrics, TechClass, check_compliance, response_metrics_rows
 from .dynamics import response_metrics  # noqa: F401  bench/spans.py wraps it here by name
+from .milp import MilpProblem
 from .scenario import SystemScenario, Violation
 from .solver import solve_milp
 from .ucmodel import (
     COMMITTED_CLASSES,
     BuildOptions,
     UcSolution,
+    add_nadir_cut,
     build_fcuc,
     check_feasibility,
     decode_solution,
     fleet_capacity_mw,
     fleet_mix,
     online_mix,
+    set_uniform_reserve,
     units_of,
 )
 
@@ -170,13 +174,15 @@ def _iterate(
     s: SystemScenario,
     model: str,
     opts: BuildOptions,
-    refine: Callable[[BuildOptions, list[int]], BuildOptions | None],
+    refine: Callable[[MilpProblem, BuildOptions, list[int]], BuildOptions | None],
     max_iter: int,
 ) -> RunReport:
-    """The operating loop: solve under opts, simulate every hour, stop when
-    all comply; otherwise ask refine(opts, failing nadir hours) for the next
-    options, None when nothing is left to try. The report describes the last
-    MILP solved: its cuts, its reserve, and the reserves tried so far.
+    """The operating loop: build the day's MILP once under opts, solve it,
+    simulate every hour, stop when all comply; otherwise ask
+    refine(problem, opts, failing nadir hours) for the next options, having
+    edited the problem in place to match them, or None when nothing is left
+    to try. The report describes the last MILP solved: its cuts, its
+    reserve, and the reserves tried so far.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -185,10 +191,10 @@ def _iterate(
     metrics: dict[int, FrequencyMetrics] = {}
     sol: UcSolution | None = None
     status = "non_convergence"
+    problem = build_fcuc(s, opts)
     for iters in range(1, max_iter + 1):
         if opts.uniform_reserve_mw is not None:
             trajectory.append(opts.uniform_reserve_mw)
-        problem = build_fcuc(s, opts)
         res = solve_milp(problem, gap_tol=MILP_GAP_TOL)
         if res.status != "optimal":
             status, sol, metrics = res.status, None, {}
@@ -198,7 +204,7 @@ def _iterate(
         if all_ok:
             status = "converged"
             break
-        nxt = refine(opts, failing) if iters < max_iter else None
+        nxt = refine(problem, opts, failing) if iters < max_iter else None
         if nxt is None:
             break
         opts = nxt
@@ -232,7 +238,8 @@ def run_proposed(s: SystemScenario, max_iter: int = DEFAULT_MAX_ITER) -> RunRepo
     learner = {k: min((h for h in level if level[h] == k), key=lambda h: s.demand[h - 1])
                for k in level.values()}
 
-    def add_cuts(opts: BuildOptions, failing: list[int]) -> BuildOptions | None:
+    def add_cuts(problem: MilpProblem, opts: BuildOptions, failing: list[int]
+                 ) -> BuildOptions | None:
         held = {hour for hour, _ in opts.nadir_cuts}  # the hours of every learned level
         new = dict.fromkeys(level[hour] for hour in failing if hour not in held)
         learned = _learn_cuts(s, [learner[k] for k in new], axes)
@@ -240,6 +247,8 @@ def run_proposed(s: SystemScenario, max_iter: int = DEFAULT_MAX_ITER) -> RunRepo
                      if k in new and (cut := learned[learner[k]]) is not None)
         if not cuts:
             return None  # every failing nadir hour holds a cut, or none was learned
+        for hour, cut in cuts:
+            add_nadir_cut(problem, s, cut, hour)
         return replace(opts, nadir_cuts=opts.nadir_cuts + cuts)
 
     return _iterate(s, "proposed", BuildOptions(), add_cuts, max_iter)
@@ -256,8 +265,10 @@ def run_industry(
     if not escalation_factor > 1.0:
         raise ValueError("escalation_factor must be > 1")
 
-    def escalate(opts: BuildOptions, failing: list[int]) -> BuildOptions:
-        return replace(opts, uniform_reserve_mw=opts.uniform_reserve_mw * escalation_factor)
+    def escalate(problem: MilpProblem, opts: BuildOptions, failing: list[int]) -> BuildOptions:
+        reserve_mw = opts.uniform_reserve_mw * escalation_factor
+        set_uniform_reserve(problem, s, reserve_mw)
+        return replace(opts, uniform_reserve_mw=reserve_mw)
 
     opts = BuildOptions(uniform_reserve_mw=s.contingency_mw)
     return _iterate(s, "industry", opts, escalate, max_iter)
@@ -352,6 +363,22 @@ _CONVERTED = {
 }
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+#: the JSON value each field that is not converted must hold, by its annotation
+_JSON_TYPES = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _number,
+    "float | None": lambda v: v is None or _number(v),
+    "list[float]": lambda v: isinstance(v, list) and all(map(_number, v)),
+    "dict[str, float]": lambda v: isinstance(v, dict) and all(map(_number, v.values())),
+}
+_PASSED = {f.name: (f.type, _JSON_TYPES[f.type]) for f in _DOC_FIELDS if f.name not in _CONVERTED}
+
+
 def report_to_dict(r: RunReport) -> dict:
     """The report as a JSON document: every field but the solution, in field
     order, sharing no dict or list with the report."""
@@ -365,13 +392,18 @@ def report_to_dict(r: RunReport) -> dict:
 def report_from_dict(d: dict) -> RunReport:
     """The report of a report_to_dict document, sharing no dict or list with
     it; a field the document lacks takes its default. Raises ValueError for a
-    document that is not an object, lacks a field with no default, or holds
-    an hourly_metrics, hourly_committed_mw or cuts that does not convert."""
+    document that is not an object, lacks a field with no default, holds a
+    field of another JSON type than its annotation (a number for a float, a
+    list of numbers for a list[float]), or holds an hourly_metrics,
+    hourly_committed_mw or cuts that does not convert."""
     if not isinstance(d, dict):
         raise ValueError(f"a report must be a JSON object, not {type(d).__name__}")
     for f in _DOC_FIELDS:
         if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"report lacks the field {f.name!r}")
+    for name, (annotation, holds) in _PASSED.items():
+        if name in d and not holds(d[name]):
+            raise ValueError(f"report field {name!r} is not {annotation}: {d[name]!r}")
     r = RunReport(**copy.deepcopy({f.name: d[f.name] for f in _DOC_FIELDS if f.name in d}))
     for name, (_, load) in _CONVERTED.items():
         try:

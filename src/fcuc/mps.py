@@ -21,10 +21,16 @@ def export_mps(p: MilpProblem, path: str) -> None:
     for row in p.rows:
         lines.append(f" {_SENSE_TO_TAG[row.sense]} {row.name}")
 
+    entries: list[list[tuple[str, float]]] = [[] for _ in p.variables]  # per column, row order
+    for row in p.rows:
+        for j, c in row.coeffs.items():
+            if c != 0.0:
+                entries[j].append((row.name, c))
+
     lines.append("COLUMNS")
     marker = 0
     in_int = False
-    for j, v in enumerate(p.variables):
+    for v, column in zip(p.variables, entries):
         if v.binary != in_int:
             kind = "INTORG" if v.binary else "INTEND"
             lines.append(f"    MARKER{marker} 'MARKER' '{kind}'")
@@ -32,10 +38,8 @@ def export_mps(p: MilpProblem, path: str) -> None:
             in_int = v.binary
         if v.cost != 0.0:
             lines.append(f"    {v.name} COST {v.cost:.17g}")
-        for row in p.rows:
-            c = row.coeffs.get(j)
-            if c is not None and c != 0.0:
-                lines.append(f"    {v.name} {row.name} {c:.17g}")
+        for name, c in column:
+            lines.append(f"    {v.name} {name} {c:.17g}")
     if in_int:
         lines.append(f"    MARKER{marker} 'MARKER' 'INTEND'")
 

@@ -1,14 +1,20 @@
 """MILP solving with HiGHS.
 
-`solve_milp` hands the whole problem to HiGHS branch-and-cut through
-`scipy.optimize.milp`. The test suite cross-checks it against an enumeration
-oracle, `tests/oracles.py::brute_force_milp`.
+`solve_milp` hands a problem's solver arrays (`MilpProblem.solver_arrays`)
+to a fresh HiGHS instance through scipy's bundled bindings,
+`scipy.optimize._highspy._core`, the module `scipy.optimize.milp` itself
+calls. HiGHS receives exactly the model and options `milp` would give it;
+what the direct call skips is `milp`'s input validation, its option parsing
+and its Python loop over every column's basis status. The module is private
+to scipy: if a scipy release moves it, every solve fails on the import.
+`tests/oracles.py::scipy_milp` is the public `milp` call that the tests hold
+`solve_milp` to, and `tests/oracles.py::brute_force_milp` an enumeration
+oracle.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +23,14 @@ from .milp import MilpProblem
 
 __all__ = ["MilpResult", "solve_milp"]
 
-# HiGHS options beyond scipy's documented ones, passed to HiGHS verbatim. The
-# commitment MILPs are slow at the root, not in branching: on the slow
-# uniform-reserve solves these three heuristics spent about half of the LP
-# iterations after the returned incumbent was already found. Turning them off
-# halves the bench's `industry-day` with the same iterations, cuts and
-# objectives.
+# HiGHS options, set on every solve as `milp` sets them: no console log, then
+# three heuristics off. The commitment MILPs are slow at the root, not in
+# branching: on the slow uniform-reserve solves these three heuristics spent
+# about half of the LP iterations after the returned incumbent was already
+# found. Turning them off halves the bench's `industry-day` with the same
+# iterations, cuts and objectives.
 _HIGHS_OPTIONS = {
+    "log_to_console": False,
     "mip_heuristic_run_rins": False,
     "mip_heuristic_run_rens": False,
     "mip_heuristic_run_feasibility_jump": False,
@@ -50,51 +57,51 @@ def solve_milp(
     before proving the gap; `x` then holds its incumbent, or None if it had
     none.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    # Imported at the first solve: loading scipy.optimize takes about 45 MB,
+    # which a process that solves no MILP (the boundary studies) never pays.
+    from scipy.optimize._highspy import _core as _highs
 
+    status_of = _highs.HighsModelStatus
+    # limits that leave a MIP incumbent if its objective is finite; the
+    # first two count as optimal once the gap is proved
+    limits = (status_of.kTimeLimit, status_of.kIterationLimit, status_of.kSolutionLimit)
     t0 = time.perf_counter()
-    a_ub, b_ub, a_eq, b_eq = p.split_rows()
-    lb, ub = p.bounds()
-    constraints = []
-    if a_ub.shape[0]:
-        constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
-    if a_eq.shape[0]:
-        constraints.append(LinearConstraint(a_eq, b_eq, b_eq))
-    integrality = np.zeros(p.ncols)
-    integrality[p.binary_columns()] = 1
-    options = {"mip_rel_gap": gap_tol, **_HIGHS_OPTIONS}
+    options = {**_HIGHS_OPTIONS, "mip_rel_gap": float(gap_tol)}
     if time_limit_s is not None:
-        options["time_limit"] = time_limit_s
-    with warnings.catch_warnings():
-        # scipy warns that it hands the keys of _HIGHS_OPTIONS to HiGHS verbatim.
-        warnings.filterwarnings(
-            "ignore", message="Unrecognized options detected", category=RuntimeWarning
-        )
-        res = milp(
-            p.objective(),
-            constraints=constraints,
-            integrality=integrality,
-            bounds=Bounds(lb, ub),
-            options=options,
-        )
+        options["time_limit"] = float(time_limit_s)
+    highs = _highs._Highs()
+    for key, value in options.items():
+        if highs.setOptionValue(key, value) == _highs.HighsStatus.kError:
+            raise ValueError(f"HiGHS refuses the option {key}={value!r}")
+    a = p.solver_arrays()
+    loaded = highs.passModel(
+        p.ncols, p.nrows, len(a.value), _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
+        0.0, a.cost, a.col_lower, a.col_upper, a.row_lower, a.row_upper,
+        a.start, a.index, a.value, a.integrality,
+    ) != _highs.HighsStatus.kError
+    ran = loaded and highs.run() != _highs.HighsStatus.kError
+    status = highs.getModelStatus() if loaded else status_of.kModelError
+    info = highs.getInfo()
     wall = time.perf_counter() - t0
-    if res.status == 2:  # infeasible
+    # `milp` reports a model it cannot load as infeasible
+    if status in (status_of.kInfeasible, status_of.kModelError):
         return MilpResult(status="infeasible", wall_time_s=wall)
-    if res.x is None:
+    mip = bool(a.integrality.any())
+    if not ran or not (status == status_of.kOptimal or (
+            mip and status in limits and info.objective_function_value != _highs.kHighsInf)):
         return MilpResult(status="limit", wall_time_s=wall)
-    gap = float(res.mip_gap) if res.mip_gap is not None else np.nan
-    if res.status == 0:
-        status = "optimal"
-    elif res.status == 1:  # iteration/time limit with incumbent
-        status = "limit" if not (gap <= gap_tol) else "optimal"
-    else:
-        status = "limit"
+    x = np.array(highs.getSolution().col_value)
+    if not mip:
+        return MilpResult(status="optimal", objective=info.objective_function_value, x=x,
+                          wall_time_s=wall)
+    gap = info.mip_gap
+    proved = status == status_of.kOptimal or (status in limits[:2] and gap <= gap_tol)
     return MilpResult(
-        status=status,
-        objective=float(res.fun),
-        x=np.asarray(res.x),
-        best_bound=float(res.mip_dual_bound) if res.mip_dual_bound is not None else np.nan,
+        status="optimal" if proved else "limit",
+        objective=info.objective_function_value,
+        x=x,
+        best_bound=info.mip_dual_bound,
         gap=gap,
-        nodes=int(res.mip_node_count) if res.mip_node_count is not None else 0,
+        nodes=info.mip_node_count,
         wall_time_s=wall,
     )

@@ -5,6 +5,7 @@ independent feasibility audit, and the bridge to the dynamic model.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "UcSolution",
     "build_fcuc",
     "add_nadir_cut",
+    "set_uniform_reserve",
     "decode_solution",
     "check_feasibility",
     "online_mix",
@@ -112,11 +114,8 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
     system reserve, inertia with its RoCoF floor, and the nadir cut rows.
     """
     opts = opts or BuildOptions()
-    if opts.uniform_reserve_mw is not None and not opts.uniform_reserve_mw >= s.contingency_mw:
-        raise ValueError(
-            "uniform reserve requirement must not be below the contingency "
-            f"({opts.uniform_reserve_mw} < {s.contingency_mw})"
-        )
+    reserve_req = s.contingency_mw if opts.uniform_reserve_mw is None \
+        else _checked_reserve(s, opts.uniform_reserve_mw)
     T = s.periods
     qf = _qss_factor(s)
     p = MilpProblem(s.name)
@@ -231,8 +230,6 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
         p.add_row(f"bterm_{b.id}", {p.col(_n("e", b.id, T)): 1.0}, EQ, b.e_init_mwh)
 
     # -- system reserve --
-    reserve_req = opts.uniform_reserve_mw if opts.uniform_reserve_mw is not None \
-        else s.contingency_mw
     for t in range(1, T + 1):
         coeffs = {p.col(_n("r", g.id, t)): 1.0 for g in committed}
         for b in s.gfm_batteries():
@@ -258,6 +255,24 @@ def build_fcuc(s: SystemScenario, opts: BuildOptions | None = None) -> MilpProbl
     for hour, cut in opts.nadir_cuts:
         add_nadir_cut(p, s, cut, hour)
 
+    return p
+
+
+def _checked_reserve(s: SystemScenario, reserve_mw: float) -> float:
+    if not reserve_mw >= s.contingency_mw:
+        raise ValueError(
+            "uniform reserve requirement must not be below the contingency "
+            f"({reserve_mw} < {s.contingency_mw})"
+        )
+    return reserve_mw
+
+
+def set_uniform_reserve(p: MilpProblem, s: SystemScenario, reserve_mw: float) -> MilpProblem:
+    """Set the system reserve requirement of every hour of a built problem
+    to `reserve_mw`, which must not be below the contingency."""
+    _checked_reserve(s, reserve_mw)
+    for t in range(1, s.periods + 1):
+        p.set_rhs(f"reserve_{t}", reserve_mw)
     return p
 
 
@@ -298,42 +313,49 @@ def add_nadir_cut(p: MilpProblem, s: SystemScenario, cut: NadirCut, hour: int) -
 # ---------------------------------------------------------------------------
 # decoding
 
+#: per problem, the scenario it was decoded for and the columns each field reads
+_DECODE_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _decode_columns(p: MilpProblem, s: SystemScenario) -> dict[str, tuple[list, np.ndarray]]:
+    """The keys of each decoded field and the column each key reads: one name
+    lookup per column, once per problem and scenario."""
+    cached = _DECODE_COLUMNS.get(p)
+    if cached is not None and cached[0] is s:
+        return cached[1]
+    hours = range(1, s.periods + 1)
+    cids = [g.id for g in s.committed_units()]
+    bids = [b.id for b in s.batteries]
+    families = {
+        "commit": ("u", cids), "startup": ("y", cids), "shutdown": ("z", cids),
+        "power": ("p", cids + [g.id for g in s.renewable_units + s.ror_units()]),
+        "reserve": ("r", cids), "batt_charge": ("pch", bids), "batt_discharge": ("pdis", bids),
+        "batt_res_charge": ("rch", bids), "batt_res_discharge": ("rdis", bids),
+        "batt_energy": ("e", bids),
+    }
+    columns = {}
+    for name, (prefix, ids) in families.items():
+        keys = [(uid, t) for uid in ids for t in hours]
+        columns[name] = keys, np.array([p.col(_n(prefix, uid, t)) for uid, t in keys], dtype=int)
+    for name, prefix in (("damping_reserve", "rpf"), ("inertia_mws", "m")):
+        columns[name] = list(hours), np.array([p.col(f"{prefix}_{t}") for t in hours], dtype=int)
+    _DECODE_COLUMNS[p] = s, columns
+    return columns
+
+
 def decode_solution(p: MilpProblem, s: SystemScenario, x: np.ndarray, objective: float) -> UcSolution:
     T = s.periods
-    committed = s.committed_units()
-
-    def grab(prefix, ids):
-        return {
-            (uid, t): p.value(x, _n(prefix, uid, t))
-            for uid in ids
-            for t in range(1, T + 1)
-        }
-
-    cids = [g.id for g in committed]
-    bids = [b.id for b in s.batteries]
-    gids = [g.id for g in s.renewable_units + s.ror_units()]
-
-    power = grab("p", cids)
-    power.update(grab("p", gids))
-    commit, startup, shutdown = grab("u", cids), grab("y", cids), grab("z", cids)
-    charge, discharge = grab("pch", bids), grab("pdis", bids)
+    decoded = {name: dict(zip(keys, x[cols].tolist()))
+               for name, (keys, cols) in _decode_columns(p, s).items()}
+    power, commit = decoded["power"], decoded["commit"]
+    startup, shutdown = decoded["startup"], decoded["shutdown"]
+    charge, discharge = decoded["batt_charge"], decoded["batt_discharge"]
 
     def cost(units, rate: str, values) -> float:
         return sum(getattr(u, rate) * values[(u.id, t)] for u in units for t in range(1, T + 1))
 
     return UcSolution(
-        commit=commit,
-        startup=startup,
-        shutdown=shutdown,
-        power=power,
-        reserve=grab("r", cids),
-        batt_charge=charge,
-        batt_discharge=discharge,
-        batt_res_charge=grab("rch", bids),
-        batt_res_discharge=grab("rdis", bids),
-        batt_energy=grab("e", bids),
-        damping_reserve={t: p.value(x, f"rpf_{t}") for t in range(1, T + 1)},
-        inertia_mws={t: p.value(x, f"m_{t}") for t in range(1, T + 1)},
+        **decoded,
         objective=objective,
         cost_breakdown={
             "thermal_variable": cost(s.thermal_units, "cost_var", power),

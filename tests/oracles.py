@@ -11,9 +11,11 @@ fast paths are checked against. Nothing in `fcuc` imports this module.
 - `serial_bisection` bisects one axis for its edge, one `response_metrics`
   call per step.
 - `analytic_qss` is the final-value-theorem QSS deviation of a mix.
+- `scipy_milp` is `solve_milp` through the public `scipy.optimize.milp`, its
+  constraints stacked from the problem's rows.
 - `brute_force_milp` enumerates every binary assignment of a small MILP and
   solves each continuous LP with HiGHS: one model per instance, through
-  scipy's bundled bindings, else `scipy.optimize.linprog` per LP.
+  scipy's bundled bindings (`linprog` per LP is its cross-check).
 - `without_rows` copies a MILP without one family of rows, such as the
   `rqss_*` rows that tie each unit's QSS reserve cap to its commitment.
 - `lp_bound` is the optimum of a MILP's LP relaxation.
@@ -28,15 +30,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, linprog, milp
 
-try:  # private to scipy, so `linprog` stands in where it is missing
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:
-    _highs = None
+from scipy.optimize._highspy import _core as _highs  # private to scipy, as fcuc.solver uses it
 
 from fcuc.boundary import ComplianceGrid, NadirCut
 from fcuc.dynamics import (
@@ -170,13 +170,13 @@ def without_rows(p: MilpProblem, prefix: str) -> MilpProblem:
     return q
 
 
-def _lp_solver(p: MilpProblem, use_linprog: bool = _highs is None):
+def _lp_solver(p: MilpProblem, use_linprog: bool = False):
     """A function of column bounds (lb, ub) that solves the LP of `p`'s rows
     with HiGHS. The instance goes once into one model of scipy's bundled
     HiGHS bindings, and each call changes only the column bounds that differ
     from the last call's (the binaries, in an enumeration). With
-    `use_linprog`, the path taken when those private bindings are missing,
-    each call passes the whole problem to `linprog` instead."""
+    `use_linprog`, the path the tests check it against, each call passes
+    the whole problem to `linprog` instead."""
     c = p.objective()
     a_ub, b_ub, a_eq, b_eq = p.split_rows()
     if use_linprog:
@@ -223,6 +223,65 @@ def _lp_solver(p: MilpProblem, use_linprog: bool = _highs is None):
         return res
 
     return solve
+
+
+def scipy_milp(
+    p: MilpProblem, gap_tol: float = 1e-4, time_limit_s: float | None = None
+) -> MilpResult:
+    """`solve_milp` through the public `scipy.optimize.milp`, with the
+    constraints stacked from `p.rows` rather than read from the problem's
+    solver arrays: the slow path that hands HiGHS the same model."""
+    from fcuc.solver import _HIGHS_OPTIONS
+
+    t0 = time.perf_counter()
+    blocks = {LE: ([], [], [], []), EQ: ([], [], [], [])}  # (data, row, col, rhs)
+    for row in p.rows:
+        data, i, j, rhs = blocks[EQ if row.sense == EQ else LE]
+        sign = -1.0 if row.sense == GE else 1.0
+        for col, c in row.coeffs.items():
+            data.append(sign * c)
+            i.append(len(rhs))
+            j.append(col)
+        rhs.append(sign * row.rhs)
+    constraints = []
+    for sense, (data, i, j, rhs) in blocks.items():
+        if rhs:
+            a = scipy.sparse.csr_matrix((data, (i, j)), shape=(len(rhs), p.ncols))
+            constraints.append(LinearConstraint(a, -np.inf if sense == LE else rhs, rhs))
+    integrality = np.zeros(p.ncols)
+    integrality[p.binary_columns()] = 1
+    options = {k: v for k, v in _HIGHS_OPTIONS.items() if k != "log_to_console"}
+    options["mip_rel_gap"] = gap_tol
+    if time_limit_s is not None:
+        options["time_limit"] = time_limit_s
+    with warnings.catch_warnings():
+        # milp warns that it hands the heuristic switches to HiGHS verbatim
+        warnings.filterwarnings(
+            "ignore", message="Unrecognized options detected", category=RuntimeWarning
+        )
+        res = milp(p.objective(), constraints=constraints, integrality=integrality,
+                   bounds=Bounds(*p.bounds()), options=options)
+    wall = time.perf_counter() - t0
+    if res.status == 2:  # infeasible
+        return MilpResult(status="infeasible", wall_time_s=wall)
+    if res.x is None:
+        return MilpResult(status="limit", wall_time_s=wall)
+    gap = float(res.mip_gap) if res.mip_gap is not None else np.nan
+    if res.status == 0:
+        status = "optimal"
+    elif res.status == 1:  # iteration/time limit with incumbent
+        status = "limit" if not (gap <= gap_tol) else "optimal"
+    else:
+        status = "limit"
+    return MilpResult(
+        status=status,
+        objective=float(res.fun),
+        x=np.asarray(res.x),
+        best_bound=float(res.mip_dual_bound) if res.mip_dual_bound is not None else np.nan,
+        gap=gap,
+        nodes=int(res.mip_node_count) if res.mip_node_count is not None else 0,
+        wall_time_s=wall,
+    )
 
 
 def lp_bound(p: MilpProblem) -> float:
@@ -324,12 +383,26 @@ def parse_mps(path: str) -> MilpProblem:
                 val = float(parts[3]) if len(parts) > 3 else None
                 bounds.append((kind, col, val))
 
+    col_bounds = {col: [0.0, math.inf] for col in col_order}
+    for kind, col, val in bounds:
+        lohi = col_bounds[col]
+        if kind == "UP":
+            lohi[1] = val
+        elif kind == "LO":
+            lohi[0] = val
+        elif kind == "FX":
+            lohi[:] = val, val
+        elif kind == "BV":
+            int_cols.add(col)
+            lohi[:] = 0.0, 1.0
+        elif kind in ("FR", "MI"):
+            lohi[0] = -math.inf
     for col in col_order:
         cost = 0.0
         for rname, val in col_entries[col]:
             if rname == obj_name:
                 cost += val
-        p.add_var(col, binary=col in int_cols, cost=cost)
+        p.add_var(col, *col_bounds[col], binary=col in int_cols, cost=cost)
 
     row_coeffs: dict[str, dict[int, float]] = {name: {} for name, _ in row_specs}
     for col in col_order:
@@ -339,22 +412,6 @@ def parse_mps(path: str) -> MilpProblem:
                 row_coeffs[rname][j] = row_coeffs[rname].get(j, 0.0) + val
     for name, sense in row_specs:
         p.add_row(name, row_coeffs[name], sense, rhs.get(name, 0.0))
-
-    for kind, col, val in bounds:
-        v = p.variables[p.col(col)]
-        if kind == "UP":
-            v.ub = val  # type: ignore[assignment]
-        elif kind == "LO":
-            v.lb = val  # type: ignore[assignment]
-        elif kind == "FX":
-            v.lb = v.ub = val  # type: ignore[assignment]
-        elif kind == "BV":
-            v.binary = True
-            v.lb, v.ub = 0.0, 1.0
-        elif kind == "FR":
-            v.lb = -math.inf
-        elif kind == "MI":
-            v.lb = -math.inf
     return p
 
 

@@ -258,6 +258,16 @@ _REPORT = {"model": "proposed", "scenario_name": "desk", "status": "converged",
     ({**_REPORT, "hourly_committed_mw": []}, "'hourly_committed_mw'"),
     ({**_REPORT, "cuts": [{"hour": 1, "intercept": 1.0}]}, "'cuts'"),  # no coeffs
     ({**_REPORT, "cuts": 5}, "'cuts'"),
+    ({**_REPORT, "objective": "x"}, "report field 'objective' is not float: 'x'"),
+    ({**_REPORT, "cost_breakdown": []}, "'cost_breakdown'"),
+    ({**_REPORT, "cost_breakdown": {"fuel": "1"}}, "'cost_breakdown'"),
+    ({**_REPORT, "iterations": "3"}, "report field 'iterations' is not int: '3'"),
+    ({**_REPORT, "iterations": 2.0}, "'iterations'"),
+    ({**_REPORT, "iterations": True}, "'iterations'"),
+    ({**_REPORT, "model": 3}, "'model'"),
+    ({**_REPORT, "final_reserve_mw": "5"}, "'final_reserve_mw'"),
+    ({**_REPORT, "reserve_trajectory_mw": [1.0, None]}, "'reserve_trajectory_mw'"),
+    ({**_REPORT, "wall_time_s": None}, "'wall_time_s'"),
 ])
 def test_compare_refuses_a_malformed_report(tmp_path, capsys, doc, reason):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"

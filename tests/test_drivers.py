@@ -12,7 +12,7 @@ import pytest
 
 import fcuc.boundary
 import fcuc.drivers
-from conftest import desk_scenario
+from conftest import battery_scenario, desk_scenario
 from fcuc.drivers import (
     MILP_GAP_TOL,
     RunReport,
@@ -29,7 +29,15 @@ from fcuc.drivers import (
 from fcuc.dynamics import TechClass, response_metrics_rows
 from fcuc.scenario import FrequencyLimits
 from fcuc.solver import MilpResult
-from fcuc.ucmodel import COMMITTED_CLASSES, fleet_capacity_mw, fleet_mix, units_of
+from fcuc.mps import export_mps
+from fcuc.ucmodel import (
+    COMMITTED_CLASSES,
+    BuildOptions,
+    build_fcuc,
+    fleet_capacity_mw,
+    fleet_mix,
+    units_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +297,56 @@ def test_failed_solve_reports_no_metrics_of_an_earlier_milp(desk, monkeypatch):
     assert rep.hourly_committed_mw == {}
 
 
+def _solver_form(p, path):
+    """What a solve sees of a problem: its MPS file, its split_rows arrays and
+    its solver arrays."""
+    export_mps(p, str(path))
+    a_ub, b_ub, a_eq, b_eq = p.split_rows()
+    arrays = p.solver_arrays()
+    return (path.read_bytes(),
+            [m.indptr.tobytes() + m.indices.tobytes() + m.data.tobytes() for m in (a_ub, a_eq)],
+            [b.tobytes() for b in (b_ub, b_eq)],
+            [getattr(arrays, f.name).tobytes() if isinstance(getattr(arrays, f.name), np.ndarray)
+             else getattr(arrays, f.name) for f in dataclasses.fields(arrays)])
+
+
+@pytest.mark.parametrize("model", ["proposed", "industry"])
+@pytest.mark.parametrize("make", [desk_scenario, battery_scenario], ids=["desk", "desk-batt"])
+def test_the_edited_model_equals_a_fresh_build_at_every_iteration(
+    make, model, tmp_path, monkeypatch
+):
+    """The loop builds one MILP per day and edits it in place: at every solve
+    it is the model build_fcuc gives for that solve's options, byte for byte
+    in its MPS file, its split_rows arrays and its solver arrays. The options
+    of solve k come from the report: the cuts of a proposed run stopped at k
+    iterations, the k-th reserve of the industry run's trajectory."""
+    s = make()
+
+    def run(max_iter):
+        if model == "proposed":
+            return run_proposed(s, max_iter=max_iter)
+        return run_industry(s, escalation_factor=1.1, max_iter=max_iter)
+
+    solve, seen = fcuc.drivers.solve_milp, []
+
+    def recorded(problem, **kw):
+        seen.append(_solver_form(problem, tmp_path / f"edited_{len(seen)}.mps"))
+        return solve(problem, **kw)
+
+    monkeypatch.setattr(fcuc.drivers, "solve_milp", recorded)
+    rep = run(40)
+    monkeypatch.undo()
+    assert rep.iterations == len(seen) >= 2
+    for k, edited in enumerate(seen, 1):
+        if model == "proposed":
+            opts = BuildOptions(nadir_cuts=tuple(run(k).cuts) if k < len(seen) else tuple(rep.cuts))
+        else:
+            opts = BuildOptions(uniform_reserve_mw=rep.reserve_trajectory_mw[k - 1])
+        fresh = _solver_form(build_fcuc(s, opts), tmp_path / f"fresh_{k}.mps")
+        assert edited == fresh, f"{s.name} {model}: solve {k}"
+    assert rep.status == "converged"
+
+
 def test_escalation_factor_must_exceed_one(desk):
     for factor in (1.0, float("nan")):
         with pytest.raises(ValueError, match="escalation_factor"):
@@ -332,6 +390,16 @@ def test_a_document_of_the_required_fields_loads_with_every_default():
     report = report_from_dict(dict(_REQUIRED))
     assert report == RunReport(**_REQUIRED)
     assert report.hourly_metrics == {} and report.cuts == [] and report.final_reserve_mw is None
+
+
+def test_a_document_may_hold_a_nan_objective_integer_numbers_and_no_reserve():
+    """What a failed or hand-written report holds: NaN (Python's json writes
+    and reads it), an integer where a float is annotated, a null reserve."""
+    doc = {**_REQUIRED, "objective": math.nan, "final_reserve_mw": None,
+           "reserve_trajectory_mw": [100, 110.0], "cost_breakdown": {"fuel": 3}}
+    report = report_from_dict(json.loads(json.dumps(doc)))
+    assert math.isnan(report.objective) and report.final_reserve_mw is None
+    assert report.reserve_trajectory_mw == [100, 110.0] and report.cost_breakdown == {"fuel": 3}
 
 
 @pytest.mark.parametrize("missing", sorted(_REQUIRED))

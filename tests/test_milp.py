@@ -57,6 +57,8 @@ def test_container_rejects_duplicates_and_bad_rows():
     assert not p.has_row("u")
     with pytest.raises(ValueError, match="NaN"):
         p.add_var("bad", lb=float("nan"))
+    with pytest.raises(ValueError, match="^column 'bad' has a non-finite cost$"):
+        p.add_var("bad", cost=np.inf)
 
 
 def test_binary_bounds_clamped():
@@ -164,7 +166,7 @@ def test_residual_availability_is_built_as_zero(capfd, monkeypatch):
     assert 0.0 < pv.avail_profile_mw[18] < AVAIL_TOL_MW
     p = build_fcuc(s)
     assert p.variables[p.col("p_pv_a_19")].ub == 0.0
-    monkeypatch.setitem(fcuc.solver._HIGHS_OPTIONS, "disp", True)
+    monkeypatch.setitem(fcuc.solver._HIGHS_OPTIONS, "log_to_console", True)
     capfd.readouterr()
     assert solve_milp(p).status == "optimal"
     log = capfd.readouterr().out

@@ -1,21 +1,27 @@
-"""HiGHS MILP solves against exhaustive enumeration, and status mapping."""
+"""HiGHS MILP solves against exhaustive enumeration and against the public
+`scipy.optimize.milp` call, and status mapping."""
 
 import itertools
+import math
 import pathlib
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import fcuc.drivers
 from conftest import desk_scenario, tiny_scenario
+from fcuc.drivers import run_industry, run_proposed
 from fcuc.milp import GE, LE, MilpProblem
 from fcuc.scenario import load_scenario
 from fcuc.solver import solve_milp
 from fcuc.ucmodel import build_fcuc
 import oracles
-from oracles import brute_force_milp, without_rows
+from oracles import brute_force_milp, scipy_milp, without_rows
 
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "example_scenario.json"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_solve_milp_matches_brute_force_on_small_uc_instances(milp_oracle):
@@ -93,7 +99,6 @@ def test_infeasible_milp_reported():
     assert brute_force_milp(p).status == "infeasible"
 
 
-@pytest.mark.skipif(oracles._highs is None, reason="scipy's bundled HiGHS bindings are missing")
 @pytest.mark.parametrize("seed", [1, 2, 3, 7])
 def test_oracle_lp_paths_agree_on_every_assignment(seed):
     """The oracle's one HiGHS model per instance and its `linprog` path give
@@ -114,6 +119,90 @@ def test_oracle_lp_paths_agree_on_every_assignment(seed):
         else:
             infeasible += 1
     assert 0 < infeasible < 2 ** len(binaries)
+
+
+def _same_solve(ours, reference, where):
+    """Same status, bit-identical incumbent, and the same objective, bound,
+    gap and node count (NaN matching NaN)."""
+    assert ours.status == reference.status, where
+    if reference.x is None:
+        assert ours.x is None, where
+    else:
+        assert ours.x.tobytes() == reference.x.tobytes(), where
+    for name in ("objective", "best_bound", "gap", "nodes"):
+        a, b = getattr(ours, name), getattr(reference, name)
+        assert a == b or (math.isnan(a) and math.isnan(b)), f"{where}: {name} {a} != {b}"
+
+
+@pytest.fixture(scope="module")
+def bench_driver_solves():
+    """Every MILP the benchmark's driver days solve in both models, each
+    solved at the moment the loop solves it by solve_milp and by
+    oracles.scipy_milp; the loop goes on with solve_milp's result."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import days
+        from workloads import DRIVER_DAYS
+    finally:
+        sys.path.remove(str(BENCH))
+    solves = []
+    solve = fcuc.drivers.solve_milp
+
+    def both(p, **kw):
+        ours = solve(p, **kw)
+        solves.append((f"{p.name} {model} solve {len(solves) + 1}", ours, scipy_milp(p, **kw)))
+        return ours
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fcuc.drivers, "solve_milp", both)
+        for name in DRIVER_DAYS:
+            s = days.make_day(name, str(BENCH / "example_scenario.json"))
+            model = "proposed"
+            run_proposed(s, max_iter=12)
+            model = "industry"
+            run_industry(s, escalation_factor=1.1, max_iter=40)
+    return solves
+
+
+def test_solve_milp_matches_scipy_milp_on_every_bench_driver_milp(bench_driver_solves):
+    assert {where.split()[1] for where, *_ in bench_driver_solves} == {"proposed", "industry"}
+    for where, ours, reference in bench_driver_solves:
+        assert ours.status == "optimal", where
+        _same_solve(ours, reference, where)
+
+
+def _lp(unbounded: bool = False) -> MilpProblem:
+    """min x + 2y (or -x + 2y, unbounded) over x + y >= 3, x <= 2.5 (or not), 0 <= y <= 4."""
+    p = MilpProblem("lp")
+    p.add_var("x", cost=-1.0 if unbounded else 1.0)
+    p.add_var("y", ub=4.0, cost=2.0)
+    p.add_row("cover", {0: 1.0, 1: 1.0}, GE, 3.0)
+    if not unbounded:
+        p.add_row("cap", {0: 1.0}, LE, 2.5)
+    return p
+
+
+@pytest.mark.parametrize("case", ["tiny-0", "tiny-1", "tiny-2", "tiny-3-gap1e-9", "lp",
+                                  "unbounded-lp", "infeasible", "example-time-limit-0"])
+def test_solve_milp_matches_scipy_milp(case):
+    kw = {}
+    if case.startswith("tiny"):
+        p = build_fcuc(tiny_scenario(int(case.split("-")[1])))
+        if case.endswith("gap1e-9"):
+            kw["gap_tol"] = 1e-9
+    elif case.endswith("lp"):
+        p = _lp(unbounded=case == "unbounded-lp")
+    elif case == "infeasible":
+        p = MilpProblem()
+        p.add_var("b", binary=True, cost=1.0)
+        p.add_row("hi", {0: 1.0}, LE, 0.4)
+        p.add_row("lo", {0: 1.0}, GE, 0.6)
+    else:
+        p, kw["time_limit_s"] = build_fcuc(load_scenario(str(EXAMPLE))), 0.0
+    ours, reference = solve_milp(p, **kw), scipy_milp(p, **kw)
+    _same_solve(ours, reference, case)
+    expected = {"infeasible": "infeasible", "unbounded-lp": "limit", "example-time-limit-0": "limit"}
+    assert ours.status == expected.get(case, "optimal")
 
 
 def test_brute_force_refuses_large_problems():
