@@ -5,9 +5,10 @@ pass/fail against the nadir requirement; bisection finds the minimum
 stand-alone capacity per technology (edge points), every (context, axis)
 pair in lockstep, by interpolating on the bisection's own tree of points;
 the hyperplane through the edge points becomes a linear cut, tightened
-until no failing grid point satisfies it. Grids of several contexts, or one
-round of the edge search over several contexts, are one batch of capacity
-rows, each row on its own context.
+until it admits no failing point of a grid, or of a product of reachable
+capacities, whose floor points alone are evaluated. The points of several
+contexts, or one round of the edge search over several contexts, are one
+batch of capacity rows, each row on its own context.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ __all__ = [
     "NadirCut",
     "BracketingError",
     "sweep_grid",
-    "sweep_grids",
+    "nadirs_at",
     "bisect_min_capacity",
     "find_edge_points",
     "find_edge_points_many",
     "require_edges",
     "fit_hyperplane",
     "make_conservative",
+    "repair_on_floor",
 ]
 
 DEFAULT_GRANULARITY_MW = 50.0
@@ -85,12 +87,12 @@ class SweepSpec:
 @dataclass
 class ComplianceGrid:
     axes: tuple[SweepAxis, ...]
-    axis_values: tuple[np.ndarray, ...]  # the axis's lattice, or any points in its window
+    axis_values: tuple[np.ndarray, ...]  # the axis's lattice, or any values of its class
     passed: np.ndarray  # boolean, one dim per axis
     nadir_hz: np.ndarray
 
     def points(self):
-        """Iterate (capacity vector, passed, nadir) over the lattice."""
+        """Iterate (capacity vector, passed, nadir) over the grid."""
         for idx in np.ndindex(*self.passed.shape):
             caps = tuple(self.axis_values[k][i] for k, i in enumerate(idx))
             yield caps, bool(self.passed[idx]), float(self.nadir_hz[idx])
@@ -142,43 +144,30 @@ def _column(tech: TechClass) -> int:
     return list(TechClass).index(tech)
 
 
-def _context_rows(context: OnlineMix, n: int) -> np.ndarray:
-    """n rows of the context's own capacities, to be edited per point."""
-    return np.tile(np.array(context.capacities_mw(), dtype=float), (n, 1))
+def nadirs_at(
+    batches: list[tuple[OnlineMix, tuple[TechClass, ...], np.ndarray]],
+) -> list[np.ndarray]:
+    """The nadir at each point of each (context, classes, points) batch: the
+    context with the classes at the point's capacities, every batch in one
+    batch of capacity rows, each row on its own batch's context."""
+    rows = []
+    for context, techs, points in batches:
+        rows.append(np.tile(np.array(context.capacities_mw(), dtype=float), (len(points), 1)))
+        rows[-1][:, [_column(t) for t in techs]] = points
+    sizes = [len(r) for r in rows]
+    owner = np.repeat(np.arange(len(batches)), sizes)
+    metrics = response_metrics_rows([c for c, _, _ in batches], np.concatenate(rows), owner)
+    return np.split(np.array([met.nadir_hz for met in metrics]), np.cumsum(sizes)[:-1])
 
 
 def sweep_grid(spec: SweepSpec) -> ComplianceGrid:
     """Evaluate nadir compliance at every lattice point of the spec, as one
     batch of capacity rows over the spec's context."""
     axis_values = tuple(a.values() for a in spec.axes)
-    return sweep_grids([(spec.context, spec.axes, axis_values)], spec.limits)[0]
-
-
-def sweep_grids(
-    grids: list[tuple[OnlineMix, tuple[SweepAxis, ...], tuple[np.ndarray, ...]]],
-    limits: FrequencyLimits,
-) -> list[ComplianceGrid]:
-    """Evaluate nadir compliance of each (context, axes, axis values) at
-    every point of the product of its axis values, all in one batch of
-    capacity rows, each row on its own grid's context."""
-    if not grids:
-        return []
-    rows = []
-    for context, axes, axis_values in grids:
-        points = np.meshgrid(*axis_values, indexing="ij")
-        rows.append(_context_rows(context, points[0].size))
-        for axis, grid in zip(axes, points):
-            rows[-1][:, _column(axis.tech)] = grid.ravel()
-    sizes = [len(r) for r in rows]
-    metrics = response_metrics_rows(
-        [c for c, _, _ in grids], np.concatenate(rows), np.repeat(np.arange(len(grids)), sizes)
-    )
-    nadirs = np.array([met.nadir_hz for met in metrics])
-    out = []
-    for (_, axes, axis_values), part in zip(grids, np.split(nadirs, np.cumsum(sizes)[:-1])):
-        nadir = part.reshape([len(v) for v in axis_values])
-        out.append(ComplianceGrid(axes, axis_values, nadir >= limits.nadir_min_hz, nadir))
-    return out
+    points = np.stack([v.ravel() for v in np.meshgrid(*axis_values, indexing="ij")], axis=-1)
+    [nadir] = nadirs_at([(spec.context, tuple(a.tech for a in spec.axes), points)])
+    nadir = nadir.reshape([len(v) for v in axis_values])
+    return ComplianceGrid(spec.axes, axis_values, nadir >= spec.limits.nadir_min_hz, nadir)
 
 
 def find_edge_points(
@@ -342,16 +331,52 @@ def fit_hyperplane(edge_points: dict[TechClass, float], context_id: str = "") ->
     return NadirCut(coeffs=coeffs, intercept=1.0, context_id=context_id)
 
 
+def _past(cut: NadirCut, worst: float) -> NadirCut:
+    """The cut nudged past worst, so the (closed) cut excludes an lhs of worst."""
+    return NadirCut(dict(cut.coeffs), worst * (1.0 + 1e-9) + 1e-15, cut.context_id)
+
+
 def make_conservative(cut: NadirCut, grid: ComplianceGrid) -> NadirCut:
     """Tighten the intercept until no failing grid point satisfies the cut."""
     # the cut's lhs at every grid point, summed over the axes left to right
-    lhs = np.zeros(grid.passed.shape)
-    for axis, values in zip(grid.axes, np.meshgrid(*grid.axis_values, indexing="ij")):
-        lhs = lhs + cut.coeff(axis.tech) * values
+    mesh = np.meshgrid(*grid.axis_values, indexing="ij")
+    lhs = sum(cut.coeff(axis.tech) * values for axis, values in zip(grid.axes, mesh))
     admitted = lhs[~grid.passed & (lhs - cut.intercept >= 0)]
-    if admitted.size == 0:
-        return cut
-    worst = admitted.max()
-    # nudge past the worst failing point so the (closed) cut excludes it
-    intercept = worst * (1.0 + 1e-9) + 1e-15
-    return NadirCut(coeffs=dict(cut.coeffs), intercept=intercept, context_id=cut.context_id)
+    return _past(cut, admitted.max()) if admitted.size else cut
+
+
+def repair_on_floor(cuts: list[NadirCut], contexts: list[OnlineMix],
+                    values: dict[TechClass, np.ndarray],
+                    limits: FrequencyLimits) -> list[NadirCut]:
+    """Each cut tightened until it admits no point of the product of the
+    classes' rising values (a class the cut lacks has coefficient 0, the
+    others are positive) that fails in its context, evaluating only floor
+    points: per value of every class but one, the lowest value of that one
+    the cut admits, or every admitted point if the classes are reservoir
+    hydro alone. That one has the most values and is not reservoir hydro,
+    whose water column can lower the nadir as it grows; the nadir never
+    falls as another class grows, so a failing point the cut admits lies
+    above a failing floor point. A round is one batch, and raises each cut
+    past its worst failing floor point until none fails."""
+    cuts, todo = list(cuts), range(len(cuts))
+    while todo:
+        batches = []
+        for i in todo:
+            techs = tuple(dict.fromkeys([*cuts[i].coeffs, *values]))  # the lhs sums in cut order
+            # one line per value of the other classes, along the last (or an axis of one value)
+            along = [len(values[t]) * (t is not TechClass.HYDRO_RESERVOIR) for t in techs] + [1]
+            last = along.index(max(along))
+            grid = np.stack(np.meshgrid(*(values[t] for t in techs), indexing="ij"), axis=-1)
+            grid = grid[..., None, :]
+            points = np.moveaxis(grid, last, -2).reshape(-1, grid.shape[last], len(techs))
+            lhs = sum(cuts[i].coeff(t) * points[..., k] for k, t in enumerate(techs))
+            admitted = lhs - cuts[i].intercept >= 0
+            rows = np.flatnonzero(admitted.any(axis=1))
+            floor = rows, admitted[rows].argmax(axis=1)
+            batches.append((i, techs, points[floor], lhs[floor]))
+        nadirs = nadirs_at([(contexts[i], techs, p) for i, techs, p, _ in batches])
+        failing = {i: lhs[hz < limits.nadir_min_hz] for (i, *_, lhs), hz in zip(batches, nadirs)}
+        todo = [i for i in failing if failing[i].size]
+        for i in todo:
+            cuts[i] = _past(cuts[i], failing[i].max())
+    return cuts

@@ -2,19 +2,18 @@
 
 One loop serves both: build the day's commitment MILP once, solve it,
 simulate every hour, and refine the build options, editing the MILP in place
-to match, until every hour complies. run_proposed refines by
-adding simulation-verified nadir cuts, one per demand level that fails, every
-level of a refine step in one edge search and one batch of repair points,
-each cut repaired against the commitments the MILP can make; run_industry
-escalates a uniform reserve requirement. Both return a RunReport of the last
-MILP solved, auditable against an independent re-simulation.
+to match, until every hour complies. run_proposed refines by adding
+simulation-verified nadir cuts, one per demand level that fails, every level
+of a refine step in one edge search, each cut repaired to exclude every
+failing commitment the MILP can make; run_industry escalates a uniform
+reserve requirement. Both return a RunReport of the last MILP solved,
+auditable against an independent re-simulation.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
 import time
 from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -25,13 +24,12 @@ from .boundary import (
     BISECT_TOL_MW,
     EDGE_HI_MW,
     NadirCut,
-    SweepAxis,
     bisect_min_capacity,  # noqa: F401  bench/spans.py wraps it here by name
     find_edge_points_many,
     fit_hyperplane,
-    make_conservative,
+    make_conservative,  # noqa: F401  bench/spans.py wraps it here by name
+    repair_on_floor,
     sweep_grid,  # noqa: F401  bench/spans.py wraps it here by name
-    sweep_grids,
 )
 from .dynamics import FrequencyMetrics, TechClass, check_compliance, response_metrics_rows
 from .dynamics import response_metrics  # noqa: F401  bench/spans.py wraps it here by name
@@ -68,11 +66,6 @@ __all__ = [
 DEFAULT_ESCALATION = 1.05
 DEFAULT_MAX_ITER = 10
 MILP_GAP_TOL = 1e-4
-#: points per axis of the repair lattice, 0 to the class's fleet
-_LATTICE_POINTS = 7
-#: the most commitments a cut is repaired on: a day whose classes can make
-#: more repairs every cut on the lattice instead
-_REPAIR_POINTS = _LATTICE_POINTS**3
 
 
 @dataclass
@@ -123,51 +116,33 @@ def _simulate_all_hours(s: SystemScenario, sol: UcSolution):
     return metrics, failing_nadir, all_ok
 
 
-def _subset_sums(units) -> list[float] | None:
+def _subset_sums(units) -> np.ndarray:
     """The distinct capacities a class can commit, the subset sums of its
-    units' pmax, built in unit order; None past _REPAIR_POINTS of them."""
+    units' pmax, built in unit order, rising."""
     sums = [0.0]
     for u in units:
         sums = list(dict.fromkeys(sums + [x + u.pmax_mw for x in sums]))
-        if len(sums) > _REPAIR_POINTS:
-            return None
-    return sorted(sums)
+    return np.array(sorted(sums))
 
 
 def _learn_cuts(
     s: SystemScenario, hours: list[int], axes: list[TechClass]
 ) -> dict[int, NadirCut | None]:
     """Edge points -> hyperplane -> conservative repair, for each hour's
-    context: every hour in one edge search and one batch of repair points.
-    A cut is repaired on its axes' values, chosen once for the day: the
-    commitments the MILP can make, each class's subset sums, when their
-    product over the axes has at most _REPAIR_POINTS points; else the
-    lattice, _LATTICE_POINTS evenly spaced on [0, fleet] per axis.
-    """
+    context: every hour in one edge search, and every cut repaired on the
+    floor of the commitments the MILP can make, each class's subset sums."""
     contexts = [fleet_mix(s, hour) for hour in hours]
-    fleet = {cls: fleet_capacity_mw(s, cls) for cls in axes}
-    hi = max(EDGE_HI_MW, 10.0 * max(fleet.values(), default=0.0))
-    sums = {cls: _subset_sums(units_of(s, cls)) for cls in axes}
-    if None in sums.values() or math.prod(map(len, sums.values())) > _REPAIR_POINTS:
-        values = {cls: np.linspace(0.0, mw, _LATTICE_POINTS) for cls, mw in fleet.items()}
-    else:
-        values = {cls: np.array(v) for cls, v in sums.items()}
-    windows = {cls: SweepAxis(cls, 0.0, mw, mw / (_LATTICE_POINTS - 1))
-               for cls, mw in fleet.items()}
-    cuts: dict[int, NadirCut | None] = {}
-    grids = []
-    for hour, context, edges in zip(
-        hours, contexts, find_edge_points_many(axes, contexts, s.limits, hi, BISECT_TOL_MW)
-    ):
-        if not edges or min(edges.values()) <= 0:
-            cuts[hour] = None  # no axis complies alone, or the context complies with all at zero
-            continue
-        cuts[hour] = fit_hyperplane(edges, context_id=f"hour={hour}")
-        grids.append((hour, context, tuple(windows[c] for c in edges),
-                      tuple(values[c] for c in edges)))
-    for (hour, *_), grid in zip(grids, sweep_grids([g[1:] for g in grids], s.limits)):
-        cuts[hour] = make_conservative(cuts[hour], grid)
-    return cuts
+    hi = max(EDGE_HI_MW, 10.0 * max((fleet_capacity_mw(s, c) for c in axes), default=0.0))
+    cuts, learned = {}, []  # the hours with a cut, and their contexts
+    edges = find_edge_points_many(axes, contexts, s.limits, hi, BISECT_TOL_MW)
+    for hour, context, edge in zip(hours, contexts, edges):
+        # no cut when no axis complies alone, or the context complies with all at zero
+        if edge and min(edge.values()) > 0:
+            cuts[hour] = fit_hyperplane(edge, context_id=f"hour={hour}")
+            learned.append(context)
+    values = {cls: _subset_sums(units_of(s, cls)) for cls in axes}
+    repaired = dict(zip(cuts, repair_on_floor(list(cuts.values()), learned, values, s.limits)))
+    return {hour: repaired.get(hour) for hour in hours}
 
 
 def _iterate(

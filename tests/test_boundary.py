@@ -1,12 +1,14 @@
 """Compliance-boundary learning: sweeps, bisection, cuts, conservativeness."""
 
+import dataclasses
+import itertools
 import json
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fcuc.boundary
 from fcuc.boundary import (
@@ -20,12 +22,15 @@ from fcuc.boundary import (
     find_edge_points_many,
     fit_hyperplane,
     make_conservative,
+    repair_on_floor,
     require_edges,
     sweep_grid,
 )
-from fcuc.dynamics import TechClass, response_metrics
+from fcuc.dynamics import TechClass, response_metrics, response_metrics_rows
 from fcuc.scenario import FrequencyLimits
+from fcuc.ucmodel import COMMITTED_CLASSES
 from oracles import make_conservative_by_points, make_mix, monotone_along_axes, serial_bisection
+from test_kernel_properties import contexts
 
 LIMITS = FrequencyLimits(2.0, 49.3, 0.8)
 
@@ -367,6 +372,82 @@ def test_vectorised_repair_matches_point_by_point(repair):
     assert repaired.intercept == reference.intercept  # bit-identical, not approx
     if cut.intercept > 0:
         assert repaired.intercept > cut.intercept
+
+
+@st.composite
+def floor_repairs(draw):
+    """A context from contexts() with 1-3 committed classes of 1-5 units
+    (20-400 MW) each zeroed in it; the sorted subset sums of each class's
+    units; the limits with the nadir floor at a nonzero commitment's nadir;
+    every commitment simulated, as a grid; and the cut through the classes'
+    edges, each scaled by 0.3-1.0, so that it admits failing commitments."""
+    techs = draw(st.permutations(COMMITTED_CLASSES))[:draw(st.integers(1, 3))]
+    context = draw(contexts()).with_capacities(dict.fromkeys(techs, 0.0))
+    values = {}
+    for tech in techs:
+        units = draw(st.lists(st.floats(20.0, 400.0), min_size=1, max_size=5))
+        values[tech] = np.array(sorted({sum(c) for n in range(len(units) + 1)
+                                        for c in itertools.combinations(units, n)}))
+    points = list(itertools.product(*values.values()))
+    assume(len(points) <= 1024)  # keeps the slow path short
+    rows = [context.with_capacities(dict(zip(techs, p))).capacities_mw() for p in points]
+    nadir = np.array([m.nadir_hz for m in response_metrics_rows([context], rows, [0] * len(rows))])
+    limits = dataclasses.replace(LIMITS, nadir_min_hz=nadir[draw(st.integers(1, len(points) - 1))])
+    edges = find_edge_points(techs, context, limits, hi_mw=20000.0)
+    assume(len(edges) == len(techs) and min(edges.values()) > 0)
+    cut = fit_hyperplane({t: e * draw(st.floats(0.3, 1.0)) for t, e in edges.items()}, "h")
+    shape = [len(v) for v in values.values()]
+    axes = tuple(SweepAxis(t, 0.0, float(v[-1]), 1.0) for t, v in values.items())
+    nadir = nadir.reshape(shape)
+    grid = ComplianceGrid(axes, tuple(values.values()), nadir >= limits.nadir_min_hz, nadir)
+    return context, limits, values, cut, grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=floor_repairs())
+def test_floor_repair_matches_the_repair_on_every_reachable_commitment(case):
+    """The floor repair, its slow path make_conservative on the grid of
+    every commitment: its cut admits no failing commitment and is no
+    tighter, and equal unless two failing lhs values lie within a nudge."""
+    context, limits, values, cut, grid = case
+    [floor] = repair_on_floor([cut], [context], values, limits)
+    full = make_conservative(cut, grid)
+    failing = sorted(cut.lhs(dict(zip(values, caps))) for caps, ok, _ in grid.points() if not ok)
+    assert (floor.coeffs, floor.context_id) == (cut.coeffs, cut.context_id)
+    assert failing[-1] < floor.intercept <= full.intercept
+    if floor.intercept < full.intercept:
+        assert any(b - a <= a * 1e-9 + 1e-15 for a, b in zip(failing, failing[1:]))
+
+
+def test_a_cut_is_repaired_on_every_reservoir_hydro_value_it_admits():
+    """With 1 s of hydro inertia and a 2 s water column, more reservoir
+    hydro lowers the nadir: beside 900 MW of combined cycle, no hydro
+    passes and 4,000 MW fail. No floor runs along hydro, so a cut on hydro
+    alone (admitting 500 MW, which passes) is repaired on every value it
+    admits, and a cut on both, or on combined cycle alone, along combined
+    cycle with every hydro value; each is the cut repaired on the grid of
+    every value."""
+    context = make_mix(
+        capacities_mw={TechClass.COMBINED_CYCLE: 900.0, TechClass.CONDENSER: 700.0},
+        load_damping_mw_per_pu=1150.0,
+        contingency_mw=170.0,
+    )
+    context = dataclasses.replace(
+        context,
+        hydro_reservoir=dataclasses.replace(context.hydro_reservoir, inertia_h_s=1.0),
+        dynamics=dataclasses.replace(context.dynamics, hydro_water_s=2.0),
+    )
+    limits = dataclasses.replace(LIMITS, nadir_min_hz=49.45)
+    cc = SweepAxis(TechClass.COMBINED_CYCLE, 0.0, 900.0, 450.0)
+    hydro = SweepAxis(TechClass.HYDRO_RESERVOIR, 0.0, 4000.0, 500.0)
+    cases = [((hydro,), {hydro: 400.0}), ((cc, hydro), {cc: 900.0, hydro: 4000.0}),
+             ((cc, hydro), {cc: 900.0})]
+    for axes, edges in cases:
+        grid = sweep_grid(SweepSpec(axes, context, limits))
+        assert grid.passed[..., 0].flat[-1] and not grid.passed[..., -1].flat[-1]
+        cut = NadirCut({a.tech: 1.0 / e for a, e in edges.items()}, 1.0, "h")
+        [repaired] = repair_on_floor([cut], [context], {a.tech: a.values() for a in axes}, limits)
+        assert repaired == make_conservative(cut, grid) != cut
 
 
 def test_cut_round_trips_through_its_json_form():

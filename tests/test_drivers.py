@@ -34,7 +34,6 @@ from fcuc.ucmodel import (
     COMMITTED_CLASSES,
     BuildOptions,
     build_fcuc,
-    fleet_capacity_mw,
     fleet_mix,
     units_of,
 )
@@ -174,75 +173,99 @@ def test_each_level_is_learned_once_at_its_lowest_demand_hour(hydro_heavy, monke
     assert (rep.status, rep.iterations) == ("converged", 2)
 
 
-def test_cuts_are_repaired_on_the_reachable_commitments_or_the_lattice(desk, monkeypatch):
-    """Desk's cuts are repaired on the 4 x 4 x 4 commitments its units can
-    make. With five coal units of distinct ratings there are more than the
-    7 x 7 x 7 lattice points, so the hour evaluates exactly that lattice on
-    [0, fleet], and its cut excludes every failing lattice point. Learning
-    hours in one batch gives each hour's own cut."""
-    rows, grids = [], []
-    batch, repair = fcuc.boundary.response_metrics_rows, fcuc.drivers.make_conservative
+def _recorded_repairs(monkeypatch):
+    """The (context, classes, points) batches of every repair round, as the
+    repair hands them to the kernel."""
+    rounds, nadirs_at = [], fcuc.boundary.nadirs_at
 
-    def recorded(contexts, capacities, owner):
-        rows.append(len(capacities))
-        return batch(contexts, capacities, owner)
+    def recorded(batches):
+        rounds.append(batches)
+        return nadirs_at(batches)
 
-    def recorded_repair(cut, grid):
-        grids.append(grid)
-        return repair(cut, grid)
+    monkeypatch.setattr(fcuc.boundary, "nadirs_at", recorded)
+    return rounds
 
-    monkeypatch.setattr(fcuc.boundary, "response_metrics_rows", recorded)
-    monkeypatch.setattr(fcuc.drivers, "make_conservative", recorded_repair)
+
+def test_cuts_are_repaired_on_floor_points_of_the_reachable_commitments(desk, monkeypatch):
+    """Desk's cuts at hours 3, 12 and 18 are repaired in one round of 12
+    kernel rows, where the 4 x 4 x 4 commitments its units can make would
+    be 192. Each row is a reachable commitment on its hour's context, with
+    the least coal capacity the hour's cut admits beside its other classes'
+    values; learning the hours in one batch gives each hour's own cut."""
+    rounds = _recorded_repairs(monkeypatch)
     axes = list(COMMITTED_CLASSES)
-    cuts = fcuc.drivers._learn_cuts(desk, [3, 12, 18], axes)
-    assert [len(g.passed.flat) for g in grids] == [64] * 3 and rows[-1] == 3 * 64
-    for grid in grids:
-        assert [list(v) for v in grid.axis_values] == [_reachable(desk, c) for c in axes]
-    assert cuts == {h: fcuc.drivers._learn_cuts(desk, [h], axes)[h] for h in (3, 12, 18)}
+    hours = [3, 12, 18]
+    cuts = fcuc.drivers._learn_cuts(desk, hours, axes)
+    [batches] = rounds
+    assert sum(len(points) for _, _, points in batches) == 12
+    steam = _reachable(desk, TechClass.STEAM)
+    for hour, (context, techs, points) in zip(hours, batches):
+        assert context == fleet_mix(desk, hour) and list(techs) == axes
+        for p in points:
+            assert all(mw in _reachable(desk, cls) for cls, mw in zip(axes, p)), p
+            assert cuts[hour].satisfied(dict(zip(axes, p)))
+            below = [mw for mw in steam if mw < p[0]]
+            assert not below or not cuts[hour].satisfied(dict(zip(axes, [below[-1], *p[1:]])))
+    assert cuts == {h: fcuc.drivers._learn_cuts(desk, [h], axes)[h] for h in hours}
 
+
+def test_a_cut_on_reservoir_hydro_alone_is_repaired_on_each_commitment_it_admits(
+    paired_runs, monkeypatch
+):
+    """Hydro-heavy's one axis, reservoir hydro, can lower the nadir as it
+    grows, so no floor runs along it: each hour's cut is repaired on every
+    one of the 8 reachable commitments it admits, in one round."""
+    s, rep = _paired(paired_runs, "hydro-heavy")
+    rounds = _recorded_repairs(monkeypatch)
+    axis = TechClass.HYDRO_RESERVOIR
+    hours = [hour for hour, _ in rep.cuts]
+    cuts = fcuc.drivers._learn_cuts(s, hours, [axis])
+    reachable = _reachable(s, axis)
+    assert len(reachable) == 8
+    [batches] = rounds
+    learned = [hour for hour in hours if cuts[hour] is not None]
+    assert len(batches) == len(learned) > 0
+    for hour, (context, techs, points) in zip(learned, batches):
+        assert context == fleet_mix(s, hour) and techs == (axis,)
+        assert list(points[:, 0]) == [mw for mw in reachable if cuts[hour].satisfied({axis: mw})]
+
+
+def _five_coal_units(desk):
+    """Desk with its two coal units replaced by five of distinct ratings."""
     coal = desk.thermal_units[0]
     units = tuple(dataclasses.replace(coal, id=f"coal_{i}", pmax_mw=mw, pmin_mw=20.0)
                   for i, mw in enumerate((101.0, 117.0, 133.0, 149.0, 171.0)))
-    s = dataclasses.replace(desk, thermal_units=units + desk.thermal_units[2:])
-    assert math.prod(len(_reachable(s, c)) for c in axes) > 7 ** 3
-    rows.clear()
-    grids.clear()
-    cut = fcuc.drivers._learn_cuts(s, [12], axes)[12]
-    [grid] = grids
-    assert rows[-1] == grid.passed.size == 7 ** 3
-    for axis, values in zip(grid.axes, grid.axis_values):
-        assert values[0] == 0.0 and len(values) == 7
-        assert values[-1] == fleet_capacity_mw(s, axis.tech)
-        assert np.allclose(np.diff(values), values[-1] / 6)
-    techs = [a.tech for a in grid.axes]
-    failing = [caps for caps, ok, _ in grid.points() if not ok]
-    assert techs == axes and failing
-    assert not any(cut.satisfied(dict(zip(techs, caps))) for caps in failing)
+    return dataclasses.replace(desk, thermal_units=units + desk.thermal_units[2:])
 
 
-def test_hydro_heavy_cuts_are_repaired_on_its_eight_reachable_commitments(
-    paired_runs, monkeypatch
+def test_no_cut_of_a_five_coal_unit_day_admits_a_failing_reachable_commitment(
+    desk, monkeypatch
 ):
-    """Hydro-heavy's one axis, reservoir hydro, can commit 8 capacities, far
-    fewer than the repair bound, so every hour's cut is repaired on exactly
-    those 8 points and not on a 7-point lattice."""
-    s, rep = _paired(paired_runs, "hydro-heavy")
-    grids = []
-    repair = fcuc.drivers.make_conservative
-
-    def recorded_repair(cut, grid):
-        grids.append(grid)
-        return repair(cut, grid)
-
-    monkeypatch.setattr(fcuc.drivers, "make_conservative", recorded_repair)
-    axis = TechClass.HYDRO_RESERVOIR
-    cuts = fcuc.drivers._learn_cuts(s, [hour for hour, _ in rep.cuts], [axis])
-    reachable = _reachable(s, axis)
-    assert len(reachable) == 8
-    assert len(grids) == sum(cut is not None for cut in cuts.values()) > 0
-    for grid in grids:
-        assert [a.tech for a in grid.axes] == [axis]
-        assert [list(v) for v in grid.axis_values] == [reachable]
+    """With five coal units of distinct ratings the day can make more
+    commitments than a 7 x 7 x 7 lattice has points. Its cuts at hours 3,
+    12 and 18 are repaired on reachable commitments only, and each, at its
+    own hour, admits none of them that fails the nadir floor."""
+    s = _five_coal_units(desk)
+    axes = list(COMMITTED_CLASSES)
+    reachable = [_reachable(s, c) for c in axes]
+    assert math.prod(map(len, reachable)) > 7 ** 3
+    rounds = _recorded_repairs(monkeypatch)
+    hours = [3, 12, 18]
+    cuts = fcuc.drivers._learn_cuts(s, hours, axes)
+    for _, techs, points in itertools.chain(*rounds):
+        assert list(techs) == axes
+        assert all(mw in values for p in points for mw, values in zip(p, reachable))
+    points = list(itertools.product(*reachable))
+    contexts = [fleet_mix(s, hour) for hour in hours]
+    rows = [ctx.with_capacities(dict(zip(axes, p))).capacities_mw() for ctx in contexts for p in points]
+    owner = [k for k in range(len(contexts)) for _ in points]
+    failing = 0
+    for (k, p), met in zip(itertools.product(range(len(contexts)), points),
+                           response_metrics_rows(contexts, rows, owner)):
+        if met.nadir_hz < s.limits.nadir_min_hz:
+            failing += 1
+            assert not cuts[hours[k]].satisfied(dict(zip(axes, p))), f"hour {hours[k]}: {p}"
+    assert failing > 0 and all(cuts[hour] is not None for hour in hours)
 
 
 def test_paired_corpus_matches_its_recorded_results(paired_runs):

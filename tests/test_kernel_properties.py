@@ -8,8 +8,11 @@ multiplication, the kernel's nadir against RK4 (also with nearly equal steam
 lags, where A is close to defective), and a non-finite capacity against
 validation. Also the damping monotonicity that a demand level's cut,
 learned at the level's lowest damping, relies on, one mix at a time and as
-capacity rows over contexts, confirmed by RK4 on a sample."""
+capacity rows over contexts, confirmed by RK4 on a sample; and the capacity
+monotonicity, per class, that lets a cut be repaired on its floor points,
+which reservoir hydro lacks."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -316,6 +319,56 @@ def test_capacity_rows_nadir_never_falls_as_damping_rises(context, rows, damping
     for i in range(len(rows)):
         column = nadirs[i::len(rows)]
         assert all(b >= a - NADIR_TOL_HZ for a, b in zip(column, column[1:]))
+
+
+#: the columns of the classes whose growth never lowers a row's nadir: every
+#: class but reservoir hydro
+_MONOTONE = [k for k, c in enumerate(TechClass) if c is not TechClass.HYDRO_RESERVOIR]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    context=contexts(),
+    row=_ROW,
+    steps=st.lists(st.floats(0.5, 2000.0), min_size=1, max_size=4),
+)
+def test_capacity_rows_nadir_never_falls_as_a_class_capacity_rises(context, row, steps):
+    # the premise of repairing a cut on its floor points: for each class but
+    # reservoir hydro, the row with that class raised step by step, all in
+    # one call
+    rows = [row[:k] + [mw] + row[k + 1:]
+            for k in _MONOTONE for mw in itertools.accumulate([row[k]] + steps)]
+    nadirs = [m.nadir_hz for m in response_metrics_rows([context], rows, [0] * len(rows))]
+    for j, k in enumerate(_MONOTONE):
+        column = nadirs[j * (len(steps) + 1):(j + 1) * (len(steps) + 1)]
+        assert all(b >= a - NADIR_TOL_HZ for a, b in zip(column, column[1:])), list(TechClass)[k]
+
+
+def test_reservoir_hydro_can_lower_the_nadir_as_it_grows():
+    """Why a cut's floor never runs along reservoir hydro: with a 2 s water
+    column and 1 s of hydro inertia, more hydro lowers the nadir (its
+    turbines first answer a drop in frequency with less power), by RK4 as
+    by the kernel; with the default 4 s of inertia it rises."""
+    def nadirs(inertia_h_s, rk4=False):
+        out = []
+        for hydro in (500.0, 1000.0, 2000.0, 4000.0):
+            mix = make_mix(
+                capacities_mw={TechClass.COMBINED_CYCLE: 900.0, TechClass.HYDRO_RESERVOIR: hydro,
+                               TechClass.CONDENSER: 700.0},
+                load_damping_mw_per_pu=1150.0,
+                contingency_mw=170.0,
+            )
+            mix = replace(mix, hydro_reservoir=replace(mix.hydro_reservoir, inertia_h_s=inertia_h_s),
+                          dynamics=replace(mix.dynamics, hydro_water_s=2.0))
+            out.append(compute_metrics(simulate_response(assemble_state_space(mix))).nadir_hz
+                       if rk4 else response_metrics(mix).nadir_hz)
+        return out
+
+    low = nadirs(1.0)
+    assert all(b < a - 1e-3 for a, b in zip(low, low[1:]))
+    assert nadirs(1.0, rk4=True) == pytest.approx(low, abs=RK4_TOL_HZ)
+    high = nadirs(4.0)
+    assert all(b > a for a, b in zip(high, high[1:]))
 
 
 def test_rk4_confirms_the_nadir_rises_with_damping():
