@@ -297,8 +297,9 @@ def compare_runs(a: RunReport, b: RunReport) -> ComparisonResult:
         )
     cats = sorted(set(a.cost_breakdown) | set(b.cost_breakdown))
     deltas = {k: a.cost_breakdown.get(k, 0.0) - b.cost_breakdown.get(k, 0.0) for k in cats}
+    diff = abs(a.objective - b.objective)  # NaN if either run has no objective
     larger = max(abs(a.objective), abs(b.objective))
-    gap = 100.0 * abs(a.objective - b.objective) / larger if larger > 0 else 0.0
+    gap = 100.0 * diff / larger if larger > 0 else diff  # diff is 0.0 or NaN here
     committed: dict[str, dict[int, float]] = {}
     for cls in set(a.hourly_committed_mw) | set(b.hourly_committed_mw):
         ha = a.hourly_committed_mw.get(cls, {})

@@ -1,12 +1,13 @@
 """MILP solving with HiGHS.
 
-`solve_milp` hands a problem's solver arrays (`MilpProblem.solver_arrays`)
-to a fresh HiGHS instance through scipy's bundled bindings,
-`scipy.optimize._highspy._core`, the module `scipy.optimize.milp` itself
-calls. HiGHS receives exactly the model and options `milp` would give it;
-what the direct call skips is `milp`'s input validation, its option parsing
-and its Python loop over every column's basis status. The module is private
-to scipy: if a scipy release moves it, every solve fails on the import.
+`solve_milp` builds a problem's solver arrays from its rows
+(`MilpProblem.solver_arrays`) and hands them to a fresh HiGHS instance
+through scipy's bundled bindings, `scipy.optimize._highspy._core`, the
+module `scipy.optimize.milp` itself calls. HiGHS receives exactly the model
+and options `milp` would give it; what the direct call skips is `milp`'s
+input validation, its option parsing and its Python loop over every
+column's basis status. The module is private to scipy and imported at the
+first solve: if a scipy release moves it, every solve fails on the import.
 `tests/oracles.py::scipy_milp` is the public `milp` call that the tests hold
 `solve_milp` to, and `tests/oracles.py::brute_force_milp` an enumeration
 oracle.

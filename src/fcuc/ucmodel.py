@@ -5,7 +5,6 @@ independent feasibility audit, and the bridge to the dynamic model.
 from __future__ import annotations
 
 import hashlib
-import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -313,16 +312,9 @@ def add_nadir_cut(p: MilpProblem, s: SystemScenario, cut: NadirCut, hour: int) -
 # ---------------------------------------------------------------------------
 # decoding
 
-#: per problem, the scenario it was decoded for and the columns each field reads
-_DECODE_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _decode_columns(p: MilpProblem, s: SystemScenario) -> dict[str, tuple[list, np.ndarray]]:
-    """The keys of each decoded field and the column each key reads: one name
-    lookup per column, once per problem and scenario."""
-    cached = _DECODE_COLUMNS.get(p)
-    if cached is not None and cached[0] is s:
-        return cached[1]
+    """The keys of each decoded field and the column each key reads, looked
+    up by name at each decode."""
     hours = range(1, s.periods + 1)
     cids = [g.id for g in s.committed_units()]
     bids = [b.id for b in s.batteries]
@@ -339,7 +331,6 @@ def _decode_columns(p: MilpProblem, s: SystemScenario) -> dict[str, tuple[list, 
         columns[name] = keys, np.array([p.col(_n(prefix, uid, t)) for uid, t in keys], dtype=int)
     for name, prefix in (("damping_reserve", "rpf"), ("inertia_mws", "m")):
         columns[name] = list(hours), np.array([p.col(f"{prefix}_{t}") for t in hours], dtype=int)
-    _DECODE_COLUMNS[p] = s, columns
     return columns
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -13,6 +14,7 @@ import fcuc.drivers
 from conftest import desk_scenario
 from fcuc.boundary import NadirCut
 from fcuc.cli import EXIT_SOLVER_LIMIT, main
+from fcuc.drivers import compare_runs, load_report
 from fcuc.dynamics import TechClass, check_compliance, response_metrics
 from fcuc.scenario import load_scenario, save_scenario
 from fcuc.solver import MilpResult
@@ -276,6 +278,21 @@ def test_compare_refuses_a_malformed_report(tmp_path, capsys, doc, reason):
     assert main(["compare", str(good), str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and reason in err
+
+
+@pytest.mark.parametrize("objectives", [(math.nan, 100.0), (100.0, math.nan), (math.nan, math.nan)])
+def test_compare_gap_is_nan_when_either_objective_is_nan(tmp_path, capsys, objectives):
+    """A run that is infeasible or stopped at a limit has a NaN objective: its
+    gap to any run is NaN, in either order, and never 0."""
+    paths = []
+    for k, objective in enumerate(objectives):
+        status = "infeasible" if math.isnan(objective) else "converged"
+        path = tmp_path / f"report_{k}.json"
+        path.write_text(json.dumps({**_REPORT, "status": status, "objective": objective}))
+        paths.append(str(path))
+    assert math.isnan(compare_runs(*map(load_report, paths)).gap_percent)
+    assert main(["compare", *paths]) == 0
+    assert "gap_percent\tnan\n" in capsys.readouterr().out
 
 
 def test_solve_non_convergence_exit_2(desk_path, capsys):

@@ -76,6 +76,44 @@ def test_split_rows_negates_ge():
     assert a_ub.toarray().tolist() == [[-2.0]] and b_ub.tolist() == [-4.0]
     assert a_eq.toarray().tolist() == [[1.0]] and b_eq.tolist() == [3.0]
 
+    # the solver form of rows added in mixed order, then edited: `<=` rows and
+    # negated `>=` rows first, then `==` rows, each block in the order added
+    q = MilpProblem()
+    for name in ("x", "y", "z"):
+        q.add_var(name)
+    q.add_row("le1", {0: 1.0, 1: 2.0}, LE, 4.0)
+    q.add_row("eq1", {1: 1.0, 2: -1.0}, EQ, 1.0)
+    q.add_row("ge1", {2: 1.0, 0: 3.0}, GE, 2.0)
+    q.add_row("eq2", {2: 1.0, 0: 1.0}, EQ, 5.0)
+    q.add_row("le2", {2: 4.0}, LE, 7.0)
+    before = q.solver_arrays()
+    q.set_rhs("ge1", 6.0)
+    q.set_rhs("eq2", 8.0)
+    q.add_row("ge2", {1: 2.0, 2: 1.0}, GE, 1.0)
+    a = q.solver_arrays()
+    dense = np.array([
+        [1.0, 2.0, 0.0],  # le1
+        [-3.0, 0.0, -1.0],  # ge1, negated
+        [0.0, 0.0, 4.0],  # le2
+        [0.0, -2.0, -1.0],  # ge2, negated
+        [0.0, 1.0, -1.0],  # eq1
+        [1.0, 0.0, 1.0],  # eq2
+    ])
+    upper = [4.0, -6.0, 7.0, -1.0, 1.0, 8.0]
+    assert a.n_ub == 4
+    built = np.zeros_like(dense)
+    for j in range(q.ncols):
+        rows = a.index[a.start[j]:a.start[j + 1]]
+        assert (np.diff(rows) > 0).all()
+        built[rows, j] = a.value[a.start[j]:a.start[j + 1]]
+    assert built.tolist() == dense.tolist() and a.start[-1] == np.count_nonzero(dense)
+    assert a.row_upper.tolist() == upper
+    assert a.row_lower.tolist() == [-np.inf] * 4 + upper[4:]
+    assert before.row_upper.tolist() == [4.0, -2.0, 7.0, 1.0, 5.0]  # not shared
+    a_ub, b_ub, a_eq, b_eq = q.split_rows()
+    assert a_ub.toarray().tolist() == dense[:4].tolist() and b_ub.tolist() == upper[:4]
+    assert a_eq.toarray().tolist() == dense[4:].tolist() and b_eq.tolist() == upper[4:]
+
 
 # ---------------------------------------------------------------------------
 # UC model structure

@@ -2,8 +2,11 @@
 `scipy.optimize.milp` call, and status mapping."""
 
 import itertools
+import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import warnings
 
@@ -88,6 +91,29 @@ def test_solve_milp_emits_no_warnings():
         warnings.simplefilter("error")
         res = solve_milp(p)
     assert res.status == "optimal"
+
+
+_STUDY_IMPORTS = """
+import json, sys
+import fcuc, fcuc.cli
+rc = fcuc.cli.main(["study", "equivalence", "--scenario", sys.argv[1],
+                    "--tech-a", "combined_cycle", "--tech-b", "steam"])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "optimize"])))
+sys.exit(rc)
+"""
+
+
+def test_a_process_that_solves_no_milp_never_loads_scipy_optimize():
+    """HiGHS's bindings are imported at the first solve: loading
+    scipy.optimize costs about 45 MB, which a boundary study never needs."""
+    src = str(pathlib.Path(fcuc.drivers.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _STUDY_IMPORTS, str(EXAMPLE)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert out[0].startswith("edge_combined_cycle_mw\t")
+    assert json.loads(out[-1]) == []
 
 
 def test_infeasible_milp_reported():
