@@ -424,6 +424,10 @@ def write_dispatch_table(s: SystemScenario, r: RunReport, path: str) -> None:
                 sol.batt_discharge[(b.id, t)] - sol.batt_charge[(b.id, t)]
                 for b in s.batteries
             )
+            # the left side of the hour's `reserve_<t>` row
             rtot = sum(sol.reserve[(g.id, t)] for g in s.committed_units())
+            rtot += sum(sol.batt_res_charge[(b.id, t)] + sol.batt_res_discharge[(b.id, t)]
+                        for b in s.gfm_batteries())
+            rtot += sol.damping_reserve[t]
             cells += [f"{net:.2f}", f"{rtot:.2f}", f"{sol.inertia_mws[t]:.1f}"]
             fh.write("\t".join(cells) + "\n")

@@ -6,8 +6,12 @@ through scipy's bundled bindings, `scipy.optimize._highspy._core`, the
 module `scipy.optimize.milp` itself calls. HiGHS receives exactly the model
 and options `milp` would give it; what the direct call skips is `milp`'s
 input validation, its option parsing and its Python loop over every
-column's basis status. The module is private to scipy and imported at the
-first solve: if a scipy release moves it, every solve fails on the import.
+column's basis status. The module is private to scipy. The first solve
+takes it from `sys.modules`, or else loads its extension file from
+`<scipy>/optimize/_highspy/` under its own name: scipy.optimize's package
+init (about 45 MB and 0.4 s) never runs, and a later `import scipy.optimize`
+binds the same module. If scipy moves the file, every solve raises
+`ImportError` naming the directory searched.
 `tests/oracles.py::scipy_milp` is the public `milp` call that the tests hold
 `solve_milp` to, and `tests/oracles.py::brute_force_milp` an enumeration
 oracle.
@@ -15,8 +19,11 @@ oracle.
 
 from __future__ import annotations
 
+import pathlib
+import sys
 import time
 from dataclasses import dataclass
+from importlib import machinery, util
 
 import numpy as np
 
@@ -36,6 +43,29 @@ _HIGHS_OPTIONS = {
     "mip_heuristic_run_rens": False,
     "mip_heuristic_run_feasibility_jump": False,
 }
+
+
+_BINDINGS = "scipy.optimize._highspy._core"
+
+
+def _bindings_dir() -> pathlib.Path:
+    """Where scipy keeps its HiGHS bindings, found without importing scipy."""
+    return pathlib.Path(util.find_spec("scipy").origin).parent / "optimize" / "_highspy"
+
+
+def _highs_bindings():
+    """The process's HiGHS bindings, or their extension file loaded alone."""
+    if _BINDINGS in sys.modules:
+        return sys.modules[_BINDINGS]
+    where = _bindings_dir()
+    for path in (where / f"_core{suffix}" for suffix in machinery.EXTENSION_SUFFIXES):
+        if path.is_file():
+            spec = util.spec_from_file_location(_BINDINGS, path)
+            sys.modules[_BINDINGS] = module = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no HiGHS bindings (_core with an extension suffix) in {where}",
+                      name=_BINDINGS)
 
 
 @dataclass
@@ -58,9 +88,10 @@ def solve_milp(
     before proving the gap; `x` then holds its incumbent, or None if it had
     none.
     """
-    # Imported at the first solve: loading scipy.optimize takes about 45 MB,
-    # which a process that solves no MILP (the boundary studies) never pays.
-    from scipy.optimize._highspy import _core as _highs
+    # Loaded at the first solve, so a process that solves no MILP (the
+    # boundary studies) never loads HiGHS; loaded alone, so no process pays
+    # the 45 MB of scipy.optimize's package init.
+    _highs = _highs_bindings()
 
     status_of = _highs.HighsModelStatus
     # limits that leave a MIP incumbent if its objective is finite; the

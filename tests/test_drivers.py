@@ -463,20 +463,29 @@ def test_a_loaded_report_shares_no_dict_or_list_with_its_document(proposed, indu
         assert back == dataclasses.replace(report, solution=None)
 
 
-def test_dispatch_table(tmp_path, desk, proposed):
-    path = tmp_path / "dispatch.tsv"
-    write_dispatch_table(desk, proposed, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + desk.periods
-    header = lines[0].split("\t")
-    assert header[0] == "hour" and "coal_mw" in header
-    # generation columns minus battery must reproduce demand
-    idx = {name: k for k, name in enumerate(header)}
-    for line in lines[1:]:
-        cells = line.split("\t")
-        gen = sum(
-            float(cells[idx[c]])
-            for c in ("coal_mw", "gas_mw", "hydro_reservoir_mw",
-                      "run_of_river_mw", "renewable_mw", "battery_net_mw")
-        )
-        assert gen == pytest.approx(float(cells[idx["demand_mw"]]), abs=0.1)
+def test_dispatch_table(tmp_path, desk, proposed, paired_runs):
+    """Generation reproduces demand, and `reserve_mw` is the left side of the
+    hour's `reserve_<t>` row, GFM batteries' and load damping's reserve
+    included, so it meets the run's final requirement at every hour."""
+    batt, _, batt_industry = next(run for run in paired_runs[0] if run[0].name == "desk-batt")
+    assert batt_industry.final_reserve_mw > batt.contingency_mw
+    for s, report in ((desk, proposed), (batt, batt_industry)):
+        path = tmp_path / f"{s.name}-{report.model}.tsv"
+        write_dispatch_table(s, report, str(path))
+        lines = path.read_text().strip().splitlines()
+        assert len(lines) == 1 + s.periods
+        header = lines[0].split("\t")
+        assert header == ["hour", "demand_mw", "coal_mw", "gas_mw", "hydro_reservoir_mw",
+                          "run_of_river_mw", "renewable_mw", "battery_net_mw", "reserve_mw",
+                          "inertia_mws"]
+        required = report.final_reserve_mw or s.contingency_mw
+        idx = {name: k for k, name in enumerate(header)}
+        for line in lines[1:]:
+            cells = line.split("\t")
+            gen = sum(
+                float(cells[idx[c]])
+                for c in ("coal_mw", "gas_mw", "hydro_reservoir_mw",
+                          "run_of_river_mw", "renewable_mw", "battery_net_mw")
+            )
+            assert gen == pytest.approx(float(cells[idx["demand_mw"]]), abs=0.1)
+            assert float(cells[idx["reserve_mw"]]) >= required - 0.005, (s.name, cells[0])

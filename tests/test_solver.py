@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 import fcuc.drivers
+import fcuc.solver
 from conftest import desk_scenario, tiny_scenario
+from fcuc.cli import main
 from fcuc.drivers import run_industry, run_proposed
 from fcuc.milp import GE, LE, MilpProblem
 from fcuc.scenario import load_scenario
@@ -93,27 +96,116 @@ def test_solve_milp_emits_no_warnings():
     assert res.status == "optimal"
 
 
-_STUDY_IMPORTS = """
+_FCUC_PROCESS = """
 import json, sys
 import fcuc, fcuc.cli
-rc = fcuc.cli.main(["study", "equivalence", "--scenario", sys.argv[1],
-                    "--tech-a", "combined_cycle", "--tech-b", "steam"])
+rc = fcuc.cli.main(sys.argv[1:])
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "optimize"])))
 sys.exit(rc)
 """
 
 
-def test_a_process_that_solves_no_milp_never_loads_scipy_optimize():
-    """HiGHS's bindings are imported at the first solve: loading
-    scipy.optimize costs about 45 MB, which a boundary study never needs."""
-    src = str(pathlib.Path(fcuc.drivers.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _STUDY_IMPORTS, str(EXAMPLE)],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+def _fresh_interpreter(code, *argv):
+    """Run `code` in a fresh interpreter with `src/` and `tests/` on its path;
+    return its stdout lines."""
+    src = pathlib.Path(fcuc.drivers.__file__).resolve().parents[1]
+    path = os.pathsep.join((str(src), str(pathlib.Path(__file__).resolve().parent)))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    out = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def _fcuc_process(argv):
+    """`fcuc.cli.main(argv)` in a fresh interpreter: its stdout lines, and
+    the `scipy.optimize*` modules it had loaded at exit."""
+    *out, modules = _fresh_interpreter(_FCUC_PROCESS, *argv)
+    return out, json.loads(modules)
+
+
+def test_a_process_that_solves_no_milp_never_loads_scipy_optimize():
+    """HiGHS's bindings are loaded at the first solve, so a boundary study
+    loads no `scipy.optimize` module at all: not HiGHS, and not the package,
+    whose init no fcuc process runs (about 45 MB)."""
+    out, modules = _fcuc_process(["study", "equivalence", "--scenario", str(EXAMPLE),
+                                  "--tech-a", "combined_cycle", "--tech-b", "steam"])
     assert out[0].startswith("edge_combined_cycle_mw\t")
-    assert json.loads(out[-1]) == []
+    assert modules == []
+
+
+def test_a_process_that_solves_a_milp_loads_no_scipy_optimize_package(capsys):
+    """`fcuc solve` loads HiGHS's bindings from their file alone: the same
+    stdout as the run in this process (which imported the package through
+    the oracles), with no `scipy.optimize` package and no module of it but
+    the bindings and their submodules."""
+    argv = ["solve", "--model", "industry", "--scenario", str(EXAMPLE),
+            "--escalation", "1.1", "--max-iter", "40"]
+    out, modules = _fcuc_process(argv)
+    assert main(argv) == 0
+    assert out == capsys.readouterr().out.splitlines()
+    assert "scipy.optimize" not in modules
+    assert fcuc.solver._BINDINGS in modules
+    assert all(m.startswith(fcuc.solver._BINDINGS) for m in modules), modules
+
+
+_SOLVE_THEN_IMPORT = """
+import sys
+import fcuc.solver
+from conftest import desk_scenario
+from fcuc.ucmodel import build_fcuc
+
+used = []
+load = fcuc.solver._highs_bindings
+fcuc.solver._highs_bindings = lambda: used.append(load()) or used[-1]
+p = build_fcuc(desk_scenario())
+ours = fcuc.solver.solve_milp(p)
+assert "scipy.optimize" not in sys.modules
+from scipy.optimize._highspy import _core
+from oracles import scipy_milp
+reference = scipy_milp(p)
+again = fcuc.solver.solve_milp(p)
+assert used[0] is used[1] is _core is sys.modules[fcuc.solver._BINDINGS]
+for other in (reference, again):
+    assert ours.x.tobytes() == other.x.tobytes() and ours.objective == other.objective
+print(len(used), ours.status)
+"""
+
+
+def test_one_bindings_module_when_scipy_optimize_is_imported_after_a_solve():
+    """A first solve loads the bindings file; a later `import scipy.optimize`
+    binds that same module instead of initialising a second one, and
+    `milp` through it gives the bit-identical incumbent."""
+    assert _fresh_interpreter(_SOLVE_THEN_IMPORT) == ["2 optimal"]
+
+
+def test_solve_milp_reuses_the_bindings_the_process_has_imported(monkeypatch):
+    """Tier-1's own order: the oracles import `scipy.optimize` at collection,
+    and `solve_milp` takes its bindings from `sys.modules`, loading nothing."""
+    from scipy.optimize._highspy import _core
+
+    def search():
+        raise AssertionError("solve_milp searched for the bindings file")
+
+    used = []
+    load = fcuc.solver._highs_bindings
+    monkeypatch.setattr(fcuc.solver, "_bindings_dir", search)
+    monkeypatch.setattr(fcuc.solver, "_highs_bindings", lambda: used.append(load()) or used[-1])
+    assert solve_milp(_lp()).status == "optimal"
+    assert len(used) == 1 and used[0] is _core is oracles._highs
+
+
+def test_a_missing_bindings_file_fails_every_solve_loudly(monkeypatch, tmp_path):
+    """With no `_core` extension file where scipy keeps the bindings, a solve
+    raises ImportError naming the directory searched, and imports nothing
+    in its place; a `_core` file of another suffix does not count."""
+    (tmp_path / "_core.py").write_text("raise AssertionError('loaded')\n")
+    monkeypatch.delitem(sys.modules, fcuc.solver._BINDINGS)
+    monkeypatch.setattr(fcuc.solver, "_bindings_dir", lambda: tmp_path)
+    for _ in range(2):
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+            solve_milp(_lp())
+        assert fcuc.solver._BINDINGS not in sys.modules
 
 
 def test_infeasible_milp_reported():
