@@ -4,10 +4,11 @@ One loop serves both: build the day's commitment MILP once, solve it,
 simulate every hour, and refine the build options, editing the MILP in place
 to match, until every hour complies. run_proposed refines by adding
 simulation-verified nadir cuts, one per demand level that fails, every level
-of a refine step in one edge search, each cut repaired to exclude every
-failing commitment the MILP can make; run_industry escalates a uniform
-reserve requirement. Both return a RunReport of the last MILP solved,
-auditable against an independent re-simulation.
+learned in one edge search on a worker thread while the first MILP solves,
+each cut repaired to exclude every failing commitment the MILP can make;
+run_industry escalates a uniform reserve requirement. Both return a
+RunReport of the last MILP solved, auditable against an independent
+re-simulation.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import copy
 import json
 import time
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -203,30 +205,42 @@ def _iterate(
 def run_proposed(s: SystemScenario, max_iter: int = DEFAULT_MAX_ITER) -> RunReport:
     """Iterative FCUC: solve, audit every hour dynamically, add learned nadir
     cuts, repeat until compliant. Hours share one cut per 50 MW demand level:
-    once an hour of a level fails without a cut, the level's cut is learned
-    at its lowest-demand hour (the earlier on a tie) and placed on all its
+    once an hour of a level fails without a cut, the level's cut, learned at
+    its lowest-demand hour (the earlier on a tie), is placed on all its
     hours. The nadir never falls as load damping, which scales with demand,
     rises, so the cut admits no failing reachable commitment at any of them.
+
+    A level's cut depends on no solution, and on no other level learned
+    beside it, so every level is learned once, in one batch on a worker
+    thread, while the first MILP solves on the calling thread; the worker
+    ends before the call returns or raises. On one core nothing overlaps,
+    and a day may learn levels it never uses. A learn that fails raises
+    from the first refine step that needs it; a run that converges in its
+    first solve never reads it.
     """
     axes = [cls for cls in COMMITTED_CLASSES if units_of(s, cls)]
     level = {hour: round(s.demand[hour - 1] / 50.0) for hour in range(1, s.periods + 1)}
     learner = {k: min((h for h in level if level[h] == k), key=lambda h: s.demand[h - 1])
                for k in level.values()}
 
-    def add_cuts(problem: MilpProblem, opts: BuildOptions, failing: list[int]
-                 ) -> BuildOptions | None:
-        held = {hour for hour, _ in opts.nadir_cuts}  # the hours of every learned level
-        new = dict.fromkeys(level[hour] for hour in failing if hour not in held)
-        learned = _learn_cuts(s, [learner[k] for k in new], axes)
-        cuts = tuple((hour, replace(cut, context_id=f"hour={hour}")) for hour, k in level.items()
-                     if k in new and (cut := learned[learner[k]]) is not None)
-        if not cuts:
-            return None  # every failing nadir hour holds a cut, or none was learned
-        for hour, cut in cuts:
-            add_nadir_cut(problem, s, cut, hour)
-        return replace(opts, nadir_cuts=opts.nadir_cuts + cuts)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        learning = worker.submit(_learn_cuts, s, list(learner.values()), axes)
 
-    return _iterate(s, "proposed", BuildOptions(), add_cuts, max_iter)
+        def add_cuts(problem: MilpProblem, opts: BuildOptions, failing: list[int]
+                     ) -> BuildOptions | None:
+            held = {hour for hour, _ in opts.nadir_cuts}  # the hours of every learned level
+            new = dict.fromkeys(level[hour] for hour in failing if hour not in held)
+            learned = learning.result()
+            cuts = tuple((hour, replace(cut, context_id=f"hour={hour}"))
+                         for hour, k in level.items()
+                         if k in new and (cut := learned[learner[k]]) is not None)
+            if not cuts:
+                return None  # every failing nadir hour holds a cut, or none was learned
+            for hour, cut in cuts:
+                add_nadir_cut(problem, s, cut, hour)
+            return replace(opts, nadir_cuts=opts.nadir_cuts + cuts)
+
+        return _iterate(s, "proposed", BuildOptions(), add_cuts, max_iter)
 
 
 def run_industry(
@@ -417,9 +431,10 @@ def write_dispatch_table(s: SystemScenario, r: RunReport, path: str) -> None:
         header += ["battery_net_mw", "reserve_mw", "inertia_mws"]
         fh.write("\t".join(header) + "\n")
         for t in range(1, s.periods + 1):
-            cells = [str(t), f"{s.demand[t - 1]:.2f}"]
+            # `z`: a value that rounds to zero, a solver's tiny negative residue too, prints 0.00
+            cells = [str(t), f"{s.demand[t - 1]:z.2f}"]
             for ids in groups.values():
-                cells.append(f"{sum(sol.power[(i, t)] for i in ids):.2f}")
+                cells.append(f"{sum(sol.power[(i, t)] for i in ids):z.2f}")
             net = sum(
                 sol.batt_discharge[(b.id, t)] - sol.batt_charge[(b.id, t)]
                 for b in s.batteries
@@ -429,5 +444,5 @@ def write_dispatch_table(s: SystemScenario, r: RunReport, path: str) -> None:
             rtot += sum(sol.batt_res_charge[(b.id, t)] + sol.batt_res_discharge[(b.id, t)]
                         for b in s.gfm_batteries())
             rtot += sol.damping_reserve[t]
-            cells += [f"{net:.2f}", f"{rtot:.2f}", f"{sol.inertia_mws[t]:.1f}"]
+            cells += [f"{net:z.2f}", f"{rtot:z.2f}", f"{sol.inertia_mws[t]:z.1f}"]
             fh.write("\t".join(cells) + "\n")
