@@ -93,11 +93,14 @@ class RunReport:
 
 
 def _hourly_committed(s: SystemScenario, sol: UcSolution) -> dict[str, dict[int, float]]:
+    """Each committed class's capacity online at each hour, summed as
+    UcSolution.committed_capacity_mw sums it."""
     hours = range(1, s.periods + 1)
-    out = {
-        cls.value: {t: sol.committed_capacity_mw(s, t, cls) for t in hours}
-        for cls in COMMITTED_CLASSES
-    }
+    out = {}
+    for cls in COMMITTED_CLASSES:
+        units = units_of(s, cls)
+        on = sol.commit.columns([u.id for u in units])
+        out[cls.value] = {t: sum(u.pmax_mw * c for u, c in zip(units, on[t - 1])) for t in hours}
     out[TechClass.GFM.value] = dict.fromkeys(hours, fleet_capacity_mw(s, TechClass.GFM))
     return out
 

@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import gc
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fcuc.ucmodel import (
     AVAIL_TOL_MW,
     COMMITTED_CLASSES,
     BuildOptions,
+    HourTable,
     UcSolution,
     add_nadir_cut,
     build_fcuc,
@@ -368,6 +371,121 @@ def test_committed_capacity_only_for_committed_classes(desk_s, desk_solution):
         desk_solution.committed_capacity_mw(desk_s, 1, TechClass.CONDENSER)
 
 
+def _dict_form(p: MilpProblem, s, x: np.ndarray) -> dict[str, dict]:
+    """Each solution field as dicts keyed by (id, hour), or by hour for the
+    system fields, read from the solver's values by column name."""
+    hours = range(1, s.periods + 1)
+    cids = [g.id for g in s.committed_units()]
+    bids = [b.id for b in s.batteries]
+    families = {
+        "commit": ("u", cids), "startup": ("y", cids), "shutdown": ("z", cids),
+        "power": ("p", cids + [g.id for g in s.renewable_units + s.ror_units()]),
+        "reserve": ("r", cids), "batt_charge": ("pch", bids), "batt_discharge": ("pdis", bids),
+        "batt_res_charge": ("rch", bids), "batt_res_discharge": ("rdis", bids),
+        "batt_energy": ("e", bids),
+    }
+    form = {}
+    for name, (prefix, ids) in families.items():
+        keys = [(uid, t) for uid in ids for t in hours]
+        form[name] = dict(zip(keys, x[[p.col(f"{prefix}_{u}_{t}") for u, t in keys]].tolist()))
+    for name, prefix in (("damping_reserve", "rpf"), ("inertia_mws", "m")):
+        form[name] = dict(zip(hours, x[[p.col(f"{prefix}_{t}") for t in hours]].tolist()))
+    return form
+
+
+@pytest.fixture(scope="module", params=["desk", "desk-batt"])
+def decoded(request):
+    """A day's first MILP at the drivers' gap: (scenario, problem, x, solution)."""
+    s = desk_scenario() if request.param == "desk" else battery_scenario()
+    p = build_fcuc(s)
+    res = solve_milp(p, gap_tol=1e-4)
+    assert res.status == "optimal"
+    return s, p, res.x, decode_solution(p, s, res.x, res.objective)
+
+
+def test_each_table_reads_as_the_dict_form(decoded):
+    s, p, x, sol = decoded
+    for name, form in _dict_form(p, s, x).items():
+        table = getattr(sol, name)
+        assert list(table.items()) == list(form.items()), name  # same keys, order, values
+        assert dict(table) == form and table == form and form == table and len(table) == len(form)
+        assert all(type(v) is float for v in table.values())
+    assert sol.commit.index is sol.startup.index is sol.shutdown.index is sol.reserve.index
+    assert sol.batt_charge.index is sol.batt_energy.index
+
+
+def test_a_key_outside_a_table_raises_key_error(decoded):
+    s, _, _, sol = decoded
+    T, uid = s.periods, s.committed_units()[0].id
+    sol = copy.deepcopy(sol)
+    sol.commit[(uid, T)] = 0.25  # a value no other key holds: hour 0 must not find it
+    sol.inertia_mws[T] = 0.25
+    for table, keys in ((sol.commit, [(uid, 0), (uid, T + 1), ("no-such-unit", 1), uid, (uid,)]),
+                        (sol.inertia_mws, [0, T + 1, -1, (uid, 1)])):
+        for key in keys:
+            with pytest.raises(KeyError):
+                table[key]
+            with pytest.raises(KeyError):
+                table[key] = 1.0
+            assert key not in table and table.get(key) is None
+    with pytest.raises(KeyError):
+        sol.commit.column(0)
+    with pytest.raises(KeyError):
+        sol.committed_capacity_mw(s, T + 1, TechClass.STEAM)
+    assert sol.commit[(uid, T)] == sol.inertia_mws[T] == 0.25
+
+
+def test_a_deepcopy_is_independent_of_its_source(decoded):
+    s, _, _, sol = decoded
+    key = (s.committed_units()[0].id, 3)
+    before = dict(sol.power)
+    twin = copy.deepcopy(sol)
+    twin.power[key] += 7.0
+    twin.damping_reserve[2] = -1.0
+    assert sol.power == before and twin.power[key] == before[key] + 7.0
+    assert sol.damping_reserve[2] != -1.0
+    assert twin.commit.index is twin.reserve.index  # the copy shares its own index
+    assert twin.commit.index == sol.commit.index and twin.commit.index is not sol.commit.index
+
+
+def test_an_assignment_is_seen_by_the_audit(decoded):
+    s, _, _, sol = decoded
+    assert check_feasibility(s, sol) == []
+    twin = copy.deepcopy(sol)
+    g = s.committed_units()[-1]
+    twin.power[(g.id, s.periods)] += 7.0
+    twin.damping_reserve[s.periods] = -1.0
+    paths = {v.path for v in check_feasibility(s, twin)}
+    assert {f"balance[system,t={s.periods}]", f"rpf_sign[system,t={s.periods}]"} <= paths
+    for b in s.batteries:
+        twin = copy.deepcopy(sol)
+        twin.batt_energy[(b.id, 5)] += 3.0
+        paths = {v.path for v in check_feasibility(s, twin)}
+        assert {f"soc[{b.id},t=5]", f"soc[{b.id},t=6]"} <= paths
+
+
+def _kept_bytes(make) -> int:
+    """The bytes that make() allocates and its result keeps, by tracemalloc."""
+    make()  # any one-time cache is not the result's
+    tracemalloc.start()
+    try:
+        gc.collect()  # a full collection empties the free lists a result could reuse
+        before = tracemalloc.get_traced_memory()[0]
+        kept = make()  # noqa: F841  held while the bytes are read
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_decoded_solution_keeps_a_quarter_of_the_dict_forms_bytes(decoded):
+    """Hour tables keep the solver's values as float64; dicts keyed by
+    (unit, hour) kept a tuple and a float object per value."""
+    s, p, x, sol = decoded
+    tables = _kept_bytes(lambda: decode_solution(p, s, x, sol.objective))
+    dicts = _kept_bytes(lambda: _dict_form(p, s, x))
+    assert 4 * tables <= dicts, (tables, dicts)
+
+
 # ---------------------------------------------------------------------------
 # commitment -> dynamics bridge
 
@@ -429,8 +547,9 @@ def two_gfm():
 def _all_committed(s) -> UcSolution:
     """A solution with every committed unit on at every hour; online_mix reads
     only the commitment."""
-    commit = {(u.id, t): 1.0 for u in s.committed_units() for t in range(1, s.periods + 1)}
-    return UcSolution(commit, *([{}] * 11), objective=0.0)
+    index = {u.id: k for k, u in enumerate(s.committed_units())}
+    commit = HourTable(index, np.ones((len(index), s.periods)))
+    return UcSolution(commit, *([None] * 11), objective=0.0)
 
 
 def test_class_table_is_total_and_partitions_the_fleet(two_gfm):
